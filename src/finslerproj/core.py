@@ -136,7 +136,10 @@ class FinslerMetric:
         if y.shape != (self.dimension,):
             raise DomainError(
                 f"{self.name}: vector dimension {y.shape} does not match n={self.dimension}")
-        if not np.any(y != 0.0):
+        size = float(np.abs(y).max())  # one reduction for both checks; NaN propagates
+        if not math.isfinite(size):
+            raise DomainError(f"{self.name}: vector has non-finite components")
+        if size == 0.0:
             raise DomainError(f"{self.name}: metric evaluation needs a nonzero vector")
         return x, y
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import integrate, optimize
@@ -189,6 +190,18 @@ class GeodesicSegment:
         n = self.metric.dimension
         return [(float(s), st[:n], st[n:]) for s, st in zip(self.sample_s, self.sample_states)]
 
+    def clipped(self, s_end) -> "GeodesicSegment":
+        """The forward leg up to arc length s_end, sharing this segment's
+        dense output; the state at s_end becomes the last sample."""
+        s_end = float(s_end)
+        fwd = self._forward
+        keep = fwd.t < s_end
+        leg = SimpleNamespace(t=np.append(fwd.t[keep], s_end),
+                              y=np.column_stack([fwd.y[:, keep], fwd.sol(s_end)]),
+                              sol=fwd.sol)
+        return GeodesicSegment(self.metric, self._anchor, forward=leg,
+                               requested=(0.0, s_end))
+
     def unit_speed_drift(self) -> float:
         worst = 0.0
         for s, x, v in self.samples:
@@ -311,6 +324,8 @@ def connect(metric, x, y, tol=1e-8, max_nfev=60) -> BVPResult:
 
     The search runs over the initial direction only (the straight chord is
     the starting guess); the arc length of the hit comes out as a by-product.
+    A chord shot that already hits within tol is returned without a solve,
+    and the result segment is the closest shot clipped at its hit.
     """
     x = metric.check_point(as_coords(x))
     y = metric.check_point(as_coords(y))
@@ -341,39 +356,44 @@ def connect(metric, x, y, tol=1e-8, max_nfev=60) -> BVPResult:
         if seg is None:
             raise StiffnessError("shooting integration failed at every overshoot")
         s_star, miss = _closest_approach(seg, y)
-        return seg, d, s_star, miss
+        return seg, s_star, miss
+
+    best = None  # (segment, s_star, miss) of the closest shot so far
 
     def residual(u):
+        nonlocal best
         if not np.all(np.isfinite(u)):
             return np.full(n, 1e6)
         try:
-            seg, _, s_star, _ = shoot(u)
+            seg, s_star, miss = shoot(u)
         except DomainError:
             return np.full(n, 1e6)
+        if best is None or miss < best[2]:
+            best = (seg, s_star, miss)
         return seg.position(s_star) - y
 
-    best = None
+    def hit():
+        return best is not None and best[2] <= tol
+
+    # the straight chord already hits on projectively flat metrics
+    residual(np.zeros(n - 1))
     for start in ([np.zeros(n - 1)] +
                   [0.1 * e for e in np.eye(n - 1)] + [-0.1 * e for e in np.eye(n - 1)]):
+        if hit():
+            break
         try:
-            res = optimize.least_squares(residual, start, method="lm", xtol=1e-15,
-                                         ftol=1e-15, gtol=1e-15, max_nfev=max_nfev,
-                                         diff_step=1e-8)
+            optimize.least_squares(residual, start, method="lm", xtol=1e-15,
+                                   ftol=1e-15, gtol=1e-15, max_nfev=max_nfev,
+                                   diff_step=1e-8)
         except DomainError:
             continue
-        miss = float(np.linalg.norm(res.fun))
-        if best is None or miss < best[1]:
-            best = (res.x, miss)
-        if miss <= tol:
-            break
-    if best is None or best[1] > tol:
+    if not hit():
         raise ConnectivityError(
             f"no geodesic from {x.tolist()} to {y.tolist()} within tolerance "
-            f"{tol:g}", best_miss=None if best is None else best[1])
-    _, d, s_star, _ = shoot(best[0])
-    final = integrate_geodesic(metric, x, d, s_star)
-    miss = float(np.linalg.norm(final.position(final.s_max) - y))
-    return BVPResult(final, miss, evals)
+            f"{tol:g}", best_miss=None if best is None else best[2])
+    segment = best[0].clipped(best[1])
+    miss = float(np.linalg.norm(segment.position(segment.s_max) - y))
+    return BVPResult(segment, miss, evals)
 
 
 def finsler_distance(metric, x, y, tol=1e-8) -> float:

@@ -154,7 +154,12 @@ class KleinMetric(RiemannianMetric):
     def spray_vector(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return (2.0 * float(x @ y) / (1.0 - float(x @ x))) * y
+        phi = 1.0 - float(x @ x)
+        if phi <= 0.0:
+            # a trial stage on or past the sphere: NaN makes the integrator
+            # reject the step and shrink it instead of raising
+            return np.full(y.shape, np.nan)
+        return (2.0 * float(x @ y) / phi) * y
 
     def _spray_impl(self, x, y):
         p = 2.0 * _dot(x, y) / (1.0 - _dot(x, x))

@@ -113,6 +113,13 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
 
+    def test_non_finite_vector(self, capsys):
+        code, _ = run_args(["geodesic", "--metric", "klein", "--x0", "0", "0",
+                            "--y0", "nan", "1"], capture=True)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+
     def test_missing_flags(self):
         code, _ = run_args(["funk"], capture=True)
         assert code == 1

@@ -9,7 +9,7 @@ from finslerproj.diffengine import fundamental_tensor
 from finslerproj.errors import ConnectivityError, StiffnessError
 from finslerproj.geodesics import (connect, extend_geodesic, finsler_distance,
                                    integrate_geodesic, spray, spray_vector)
-from finslerproj.metrics import EuclideanMetric
+from finslerproj.metrics import EuclideanMetric, RiemannianMetric, RiemannianSpec
 
 
 def christoffel_spray_oracle(metric, x, y, h=1e-5):
@@ -127,6 +127,19 @@ class TestIntegration:
         assert seg.truncated_forward and seg.truncated_backward
         assert np.all(np.diff(seg.sample_s) > 0)
 
+    def test_klein_extension_stops_at_boundary(self, klein2):
+        # a DOP853 trial stage of this extension lands on the unit sphere
+        seg = extend_geodesic(klein2, [-0.1327728828045677, -0.45487233002320954],
+                              [-0.12820921861364346, 0.6609008096589744], cap=50.0)
+        assert seg.truncated_forward and seg.truncated_backward
+        for s in (seg.s_min, seg.s_max):
+            x = seg.position(s)
+            assert 1.0 - x @ x == pytest.approx(1e-12, rel=1e-2)
+
+    def test_klein_spray_off_the_ball_is_nan(self, klein2):
+        for x in ([1.0, 0.0], [0.6, 0.8], [1.2, 0.0]):
+            assert not np.any(np.isfinite(klein2.spray_vector(np.array(x), np.array([0.3, 1.0]))))
+
     def test_stiffness_error(self):
         class Blowup(EuclideanMetric):
             name = "blowup"
@@ -137,6 +150,31 @@ class TestIntegration:
 
         with pytest.raises(StiffnessError):
             integrate_geodesic(Blowup(2), [0.0, 0.0], [1.0, 0.0], 10.0)
+
+
+def klein_distance(p, q):
+    return math.acosh((1 - p @ q) / math.sqrt((1 - p @ p) * (1 - q @ q)))
+
+
+def funk_ball_distance(p, q):
+    w = (q - p) / np.linalg.norm(q - p)
+    b = p @ w
+    z = p + (-b + math.sqrt(b * b - (p @ p - 1.0))) * w  # forward boundary hit
+    return math.log(np.linalg.norm(p - z) / np.linalg.norm(q - z))
+
+
+def poincare_disk():
+    """g = 4I/(1-|x|^2)^2: chords miss the geodesics except through 0."""
+    def christoffel(x):
+        ds = 2.0 * x / (1.0 - x @ x)  # gradient of the conformal exponent
+        eye = np.eye(2)
+        return (eye[:, :, None] * ds[None, None, :] + eye[:, None, :] * ds[None, :, None]
+                - eye[None, :, :] * ds[:, None, None])
+
+    return RiemannianMetric(RiemannianSpec(
+        dimension=2, metric_provider=lambda x: 4.0 * np.eye(2) / (1.0 - x @ x) ** 2,
+        christoffel_provider=christoffel, domain_provider=lambda x: 1.0 - float(x @ x),
+        name="poincare"))
 
 
 class TestConnect:
@@ -166,10 +204,8 @@ class TestConnect:
         for _ in range(6):
             p = klein2.random_interior_point(rng)
             q = klein2.random_interior_point(rng)
-            d = finsler_distance(klein2, p, q)
-            exact = math.acosh((1 - p @ q)
-                               / math.sqrt((1 - p @ p) * (1 - q @ q)))
-            assert d == pytest.approx(exact, abs=2e-7)
+            assert finsler_distance(klein2, p, q) == pytest.approx(
+                klein_distance(p, q), abs=2e-7)
 
     def test_funk_generic_pairs_against_closed_form(self, ball2, rng):
         for _ in range(5):
@@ -177,12 +213,39 @@ class TestConnect:
             q = ball2.random_interior_point(rng)
             if np.allclose(p, q):
                 continue
-            w = (q - p) / np.linalg.norm(q - p)
-            b = p @ w
-            t = -b + math.sqrt(b * b - (p @ p - 1.0))
-            z = p + t * w  # forward boundary hit of the ray through p, q
-            exact = math.log(np.linalg.norm(p - z) / np.linalg.norm(q - z))
-            assert finsler_distance(ball2, p, q) == pytest.approx(exact, abs=2e-7)
+            assert finsler_distance(ball2, p, q) == pytest.approx(
+                funk_ball_distance(p, q), abs=2e-7)
+
+    def test_first_shot_hit_returns_clipped_shot(self, eucl2, klein2, ball2,
+                                                 randers_const, rng):
+        exact = {eucl2: lambda p, q: float(np.linalg.norm(q - p)),
+                 klein2: klein_distance, ball2: funk_ball_distance,
+                 randers_const: lambda p, q: float(np.linalg.norm(q - p) + 0.5 * (q - p)[0])}
+        for metric, distance in exact.items():
+            for _ in range(4):
+                p = 0.85 * metric.random_interior_point(rng)
+                q = 0.85 * metric.random_interior_point(rng)
+                result = connect(metric, p, q)
+                seg = result.segment
+                assert result.iterations == 1
+                assert result.miss <= 1e-8
+                assert seg.length == pytest.approx(distance(p, q), abs=1e-6)
+                assert seg.sample_s.max() == seg.s_max and seg.s_min == 0.0
+                assert np.array_equal(seg.sample_states[-1], seg.state(seg.s_max))
+                assert seg.unit_speed_drift() <= 1e-7
+
+    def test_solver_path_ends_at_target(self):
+        metric = poincare_disk()
+        p = np.array([0.3, 0.1])
+        q = np.array([-0.2, 0.4])
+        result = connect(metric, p, q)
+        seg = result.segment
+        assert result.iterations > 1
+        assert result.miss <= 1e-8
+        assert np.linalg.norm(seg.position(seg.s_max) - q) <= 1e-8
+        assert seg.sample_s.max() == seg.s_max
+        exact = math.acosh(1 + 2 * np.sum((p - q) ** 2) / ((1 - p @ p) * (1 - q @ q)))
+        assert seg.length == pytest.approx(exact, abs=1e-6)
 
 
 class TestDistanceProperties:

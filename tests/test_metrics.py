@@ -129,6 +129,11 @@ class TestKlein:
     def test_domain_error(self, klein2):
         with pytest.raises(DomainError):
             klein2.norm([1.0, 0.2], [1.0, 0.0])
+        with pytest.raises(DomainError, match="nonzero"):
+            klein2.norm([0.1, 0.2], [0.0, -0.0])
+        for y in ([np.nan, 1.0], [-np.inf, 0.0]):
+            with pytest.raises(DomainError, match="non-finite"):
+                klein2.norm([0.1, 0.2], y)
 
     def test_dimension_guard(self):
         with pytest.raises(ConstructionError):
