@@ -16,9 +16,9 @@ from .diffengine import (DerivativeRequest, EngineConfig, Jet,
                          fundamental_tensor, partial)
 from .distance import (Chain, ChainLink, CorollaryReport, IntervalPair,
                        PositivityReport, PseudoDistanceOptions,
-                       PseudoDistanceReport, SchwarzReport, chain_length,
-                       corollary_check, funk_distance_interval,
-                       positivity_probe, pseudo_distance_upper, schwarz_ratio)
+                       PseudoDistanceReport, SchwarzReport, corollary_check,
+                       funk_distance_interval, positivity_probe,
+                       pseudo_distance_upper, schwarz_ratio)
 from .errors import (AccuracyError, ChartError, ConfigError, ConnectivityError,
                      ConstructionError, ConvexityError, CriticalPointError,
                      DomainError, FinslerError, HypothesisError,
@@ -32,9 +32,8 @@ from .metrics import (EuclideanMetric, IntervalFunkMetric, KleinMetric,
                       RandersSpec, RiemannianMetric, RiemannianSpec, funk_ball,
                       funk_from_quadratic, interval_funk_eval, klein_metric,
                       randers_metric)
-from .projective import (MobiusTransform, ProjectiveParameter, SchwarzianSample,
-                         check_composition, cross_ratio, invariance_cross_check,
-                         mobius_apply, mobius_compose, mobius_invert,
-                         projective_parameter, schwarzian, schwarzian_profile)
+from .projective import (MobiusTransform, ProjectiveParameter, check_composition,
+                         cross_ratio, invariance_cross_check, projective_parameter,
+                         schwarzian)
 
 __version__ = "0.1.0"

@@ -364,6 +364,13 @@ def _point_arg(p, name, required=True, help=""):
     p.add_argument(name, type=float, nargs="+", required=required, help=help)
 
 
+def _sample_count(text):
+    count = int(text)
+    if count < 1:  # an empty sample set would pass or fail vacuously
+        raise argparse.ArgumentTypeError(f"needs at least 1 sample, got {count}")
+    return count
+
+
 def build_parser():
     parser = _Parser(prog="finslerproj",
                      description="projective invariants of Finsler metrics")
@@ -371,7 +378,7 @@ def build_parser():
 
     p = sub.add_parser("validate", help="metric axiom validators")
     _add_metric_options(p)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_sample_count, default=200)
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", help="write the report to this path")
@@ -394,7 +401,7 @@ def build_parser():
     _add_metric_options(p)
     p.add_argument("--x", type=float, nargs="+")
     p.add_argument("--y", type=float, nargs="+")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_sample_count, default=20)
     p.add_argument("--check-bound", action="store_true")
     p.add_argument("--c", type=float)
     p.add_argument("--seed", type=int, default=0)

@@ -4,8 +4,6 @@ base class, axiom validators, and arc length."""
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,22 +12,6 @@ from scipy import integrate, interpolate
 from .errors import AccuracyError, DomainError
 
 BOUNDARY_MARGIN = 1e-6  # default stop fraction of the domain scale
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("FINSLERPROJ_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    items = list(items)
-    workers = thread_count()
-    if workers == 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -177,6 +159,18 @@ class FinslerMetric:
         return out
 
 
+def boundary_room(metric, x) -> float:
+    """Coordinate room around x before a stencil exits the domain: phi(x) over
+    the l1 norm of its central-difference gradient; +inf when unbounded."""
+    if not metric.bounded_domain:
+        return math.inf
+    phi = metric.domain_value(x)
+    probe = 1e-6 * max(1.0, float(np.abs(x).max()))
+    grad = sum(abs(metric.domain_value(x + probe * e) - metric.domain_value(x - probe * e))
+               for e in np.eye(metric.dimension)) / (2 * probe)
+    return phi / (grad + 1e-300)
+
+
 # ======================================================================
 # Validation reports
 # ======================================================================
@@ -220,14 +214,13 @@ def validate_homogeneity(metric, samples, tolerance=1e-10) -> ValidationReport:
     samples: iterable of (x, y, t). The recorded residual is the worst
     relative defect |F(x, ty) - t F(x, y)| / F(x, y).
     """
-    def one(sample):
-        x, y, t = sample
+    residuals = []
+    for x, y, t in samples:
         if t <= 0:
             raise ValueError("homogeneity factors must be positive")
         base = metric.norm(x, y)
         scaled = metric.norm(x, np.asarray(y, dtype=float) * t)
-        return abs(scaled - t * base) / base
-    residuals = _pmap(one, samples)
+        residuals.append(abs(scaled - t * base) / base)
     report = ValidationReport()
     report.add("positive-homogeneity", max(residuals, default=0.0), tolerance)
     return report
@@ -243,13 +236,12 @@ def validate_strong_convexity(metric, samples, symmetry_tolerance=1e-5) -> Valid
     """
     from .diffengine import fundamental_tensor
 
-    def one(sample):
-        x, y = sample
+    eigs = []
+    for x, y in samples:
         g = fundamental_tensor(metric, x, y)
         if metric.metric_tensor(np.asarray(x, float), np.asarray(y, float)) is None:
             _check_hessian_symmetry(metric, x, y, g, symmetry_tolerance)
-        return float(np.linalg.eigvalsh(g)[0])
-    eigs = _pmap(one, samples)
+        eigs.append(float(np.linalg.eigvalsh(g)[0]))
     report = ValidationReport()
     report.add("strong-convexity", max((-e for e in eigs), default=-1.0), 0.0)
     return report

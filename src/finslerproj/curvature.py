@@ -18,22 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _pmap, as_components, as_coords
-from .diffengine import Jet, extract_coefficient, fundamental_tensor
-from .errors import AccuracyError, DomainError, NotProjectiveError
+from .core import as_components, as_coords, boundary_room
+from .diffengine import Jet, central_d1, extract_coefficient, fundamental_tensor
+from .errors import (AccuracyError, ConstructionError, DomainError,
+                     NotProjectiveError)
 from .geodesics import spray_vector
 
 
 # ======================================================================
-# finite-difference helpers on vector fields (5-point, O(h^4))
+# finite-difference steps (the stencil is diffengine.central_d1)
 # ======================================================================
-
-def _d1(fn, v, i, h):
-    e = np.zeros(len(v))
-    e[i] = h
-    return (np.asarray(fn(v - 2 * e)) - 8 * np.asarray(fn(v - e))
-            + 8 * np.asarray(fn(v + e)) - np.asarray(fn(v + 2 * e))) / (12 * h)
-
 
 def _scale(v):
     return max(1.0, float(np.abs(v).max()))
@@ -46,21 +40,9 @@ def _yscale(y):
     return float(np.abs(y).max())
 
 
-def _boundary_distance(metric, x):
-    """Coordinate-space room before an x-stencil exits the domain."""
-    if not metric.bounded_domain:
-        return math.inf
-    n = metric.dimension
-    phi = metric.domain_value(x)
-    probe = 1e-6 * _scale(x)
-    grad = sum(abs(metric.domain_value(x + probe * e) - metric.domain_value(x - probe * e))
-               for e in np.eye(n)) / (2 * probe)
-    return phi / (grad + 1e-300)
-
-
 def _x_steps(metric, x):
     """Boundary-aware (first-derivative, nested-derivative) steps in x."""
-    dist = _boundary_distance(metric, x)
+    dist = boundary_room(metric, x)
     if dist <= 1e-8:
         raise DomainError("curvature stencil cannot stay inside the domain; "
                           "the line element sits too close to the boundary")
@@ -130,16 +112,16 @@ def ricci_scalar(metric, x, y) -> float:
     hx, Hx = _x_steps(metric, x)
     hy = 1e-5 * _yscale(y)
 
-    Gx = np.column_stack([_d1(lambda xx: G(xx, y), x, j, hx) for j in range(n)])
-    Gy = np.column_stack([_d1(lambda yy: G(x, yy), y, j, hy) for j in range(n)])
+    Gx = np.column_stack([central_d1(lambda xx: G(xx, y), x, j, hx) for j in range(n)])
+    Gy = np.column_stack([central_d1(lambda yy: G(x, yy), y, j, hy) for j in range(n)])
 
     def S(xx, yy):
         h = 1e-4 * _yscale(yy)
-        return sum(_d1(lambda w: G(xx, w), yy, i, h)[i] for i in range(n))
+        return sum(central_d1(lambda w: G(xx, w), yy, i, h)[i] for i in range(n))
 
     Hy = 1e-3 * _yscale(y)
-    Sx = np.array([_d1(lambda xx: S(xx, y), x, j, Hx) for j in range(n)])
-    Sy = np.array([_d1(lambda yy: S(x, yy), y, j, Hy) for j in range(n)])
+    Sx = np.array([central_d1(lambda xx: S(xx, y), x, j, Hx) for j in range(n)])
+    Sy = np.array([central_d1(lambda yy: S(x, yy), y, j, Hy) for j in range(n)])
 
     G0 = G(x, y)
     F2 = metric.norm(x, y) ** 2
@@ -229,16 +211,16 @@ def curvature_matrix(metric, x, y) -> np.ndarray:
 
     def T(xx, yy):
         # (i, j) -> (dG^i/dy^j) / F
-        cols = [_d1(lambda w: spray_vector(metric, xx, w), yy, j, hy) for j in range(n)]
+        cols = [central_d1(lambda w: spray_vector(metric, xx, w), yy, j, hy) for j in range(n)]
         return np.column_stack(cols) / metric.norm(xx, yy)
 
     N0 = 0.5 * np.column_stack(
-        [_d1(lambda w: spray_vector(metric, x, w), y, j, hy) for j in range(n)])
+        [central_d1(lambda w: spray_vector(metric, x, w), y, j, hy) for j in range(n)])
     _, H = _x_steps(metric, x)
-    Ty = [_d1_mat(lambda yy: T(x, yy), y, m, 1e-3 * _yscale(y)) for m in range(n)]
+    Ty = [central_d1(lambda yy: T(x, yy), y, m, 1e-3 * _yscale(y)) for m in range(n)]
     delta = []
     for k in range(n):
-        dTk = _d1_mat(lambda xx: T(xx, y), x, k, H)
+        dTk = central_d1(lambda xx: T(xx, y), x, k, H)
         for m in range(n):
             dTk = dTk - N0[m, k] * Ty[m]
         delta.append(dTk)
@@ -249,12 +231,6 @@ def curvature_matrix(metric, x, y) -> np.ndarray:
         for k in range(n):
             R[i, k] = 0.5 * sum(ell[j] * (delta[k][i, j] - delta[j][i, k]) for j in range(n))
     return R
-
-
-def _d1_mat(fn, v, i, h):
-    e = np.zeros(len(v))
-    e[i] = h
-    return (fn(v - 2 * e) - 8 * fn(v - e) + 8 * fn(v + e) - fn(v + 2 * e)) / (12 * h)
 
 
 # ======================================================================
@@ -306,22 +282,14 @@ class RicciBoundReport:
 def check_ricci_bound(metric, samples, c, tolerance=1e-3) -> RicciBoundReport:
     """Check (Ric)_ij <= -c^2 g_ij, as matrices, over sampled line elements."""
     if not c > 0:
-        raise ValueError("the Ricci bound constant c must be positive")
+        raise ConstructionError("the Ricci bound constant c must be positive")
     samples = [(as_coords(x), as_components(y)) for x, y in samples]
-
-    def one(sample):
-        x, y = sample
+    report = RicciBoundReport(c=float(c), tolerance=float(tolerance), samples=samples)
+    for x, y in samples:
         data = ricci_tensor(metric, x, y)
         g = fundamental_tensor(metric, x, y)
-        eig = float(np.linalg.eigvalsh(data.ric_tensor + c * c * g)[-1])
-        scale = max(1.0, float(np.abs(np.linalg.eigvalsh(g)).max()))
-        return eig, scale
-
-    report = RicciBoundReport(c=float(c), tolerance=float(tolerance))
-    results = _pmap(one, samples)
-    report.max_eigenvalues = [r[0] for r in results]
-    report.scales = [r[1] for r in results]
-    report.samples = samples
+        report.max_eigenvalues.append(float(np.linalg.eigvalsh(data.ric_tensor + c * c * g)[-1]))
+        report.scales.append(max(1.0, float(np.abs(np.linalg.eigvalsh(g)).max())))
     return report
 
 
@@ -380,8 +348,8 @@ def verify_ric_transformation(metric_a, metric_b, x, y) -> float:
     projective_factor(metric_a, metric_b, x, y)  # validates relatedness
     hx = 1e-4 * _scale(x)
     hy = 1e-4 * _yscale(y)
-    px = np.array([_d1(lambda xx: p_field(xx, y), x, j, hx) for j in range(n)])
-    py = np.array([_d1(lambda yy: p_field(x, yy), y, j, hy) for j in range(n)])
+    px = np.array([central_d1(lambda xx: p_field(xx, y), x, j, hx) for j in range(n)])
+    py = np.array([central_d1(lambda yy: p_field(x, yy), y, j, hy) for j in range(n)])
     p0 = p_field(x, y)
     ga = spray_vector(metric_a, x, y)
     lhs = weighted_ricci(metric_b, x, y) - weighted_ricci(metric_a, x, y)

@@ -322,25 +322,13 @@ class DerivativeRequest:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Differentiation backend selection and accuracy knobs.
-
-    base_step None means the order-adapted default
-    eps^(1/(order+2)) * 2 * 4^levels times the coordinate magnitude.
-    max_relative_error None disables the Richardson disagreement guard.
-    """
+    """Differentiation backend selection."""
 
     mode: str = "automatic-forward"
-    base_step: float | None = None
-    richardson_levels: int = 2
-    max_relative_error: float | None = 1e-4
 
     def __post_init__(self):
         if self.mode not in ("automatic-forward", "finite-difference"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.richardson_levels < 0:
-            raise ValueError("richardson levels must be nonnegative")
-        if self.max_relative_error is not None and self.max_relative_error <= 0:
-            raise ValueError("accuracy targets must be positive")
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -355,7 +343,7 @@ def partial(req: DerivativeRequest, cfg: EngineConfig = DEFAULT_CONFIG) -> float
     """Mixed partial of req.field at (req.x, req.y)."""
     if cfg.mode == "automatic-forward":
         return _partial_jets(req)
-    return _partial_fd(req, cfg)
+    return _partial_fd(req)
 
 
 def _partial_jets(req):
@@ -382,6 +370,11 @@ def _partial_jets(req):
     return float(value)
 
 
+# Richardson halvings of the finite-difference step, and the largest relative
+# disagreement accepted between the last two levels
+RICHARDSON_LEVELS = 2
+MAX_RELATIVE_ERROR = 1e-4
+
 # minimal central stencils, error series in even powers of h
 _STENCILS = {
     0: ((0, 1.0),),
@@ -391,18 +384,18 @@ _STENCILS = {
 }
 
 
-def _default_step(total_order, levels):
-    return _EPS ** (1.0 / (total_order + 2)) * 2.0 * 4.0 ** levels
+def _default_step(total_order):
+    """Order-adapted base step, before scaling by the coordinate magnitude."""
+    return _EPS ** (1.0 / (total_order + 2)) * 2.0 * 4.0 ** RICHARDSON_LEVELS
 
 
-def _partial_fd(req, cfg):
+def _partial_fd(req):
     orders = list(req.x_orders) + list(req.y_orders)
     nx = req.x.size
     total = sum(orders)
     if total == 0:
         return float(req.field(req.x.copy(), req.y.copy()))
-    levels = cfg.richardson_levels
-    base = cfg.base_step if cfg.base_step is not None else _default_step(total, levels)
+    base = _default_step(total)
     point = np.concatenate([req.x, req.y])
     active = [i for i, o in enumerate(orders) if o > 0]
     steps = {i: base * max(1.0, abs(point[i])) for i in active}
@@ -423,22 +416,30 @@ def _partial_fd(req, cfg):
             acc += w * float(req.field(z[:nx], z[nx:]))
         return acc
 
-    estimates = [tensor_estimate(2.0 ** j) for j in range(levels + 1)]
+    estimates = [tensor_estimate(2.0 ** j) for j in range(RICHARDSON_LEVELS + 1)]
     table = [estimates]
-    for m in range(1, levels + 1):
+    for m in range(1, RICHARDSON_LEVELS + 1):
         prev = table[-1]
         fac = 4.0 ** m
         table.append([(fac * prev[j + 1] - prev[j]) / (fac - 1.0)
                       for j in range(len(prev) - 1)])
     value = table[-1][0]
-    if levels >= 1 and cfg.max_relative_error is not None:
-        err = abs(value - table[-2][0])
-        scale = max(abs(value), 1.0)
-        if err > cfg.max_relative_error * scale:
-            raise AccuracyError(
-                f"Richardson levels disagree by {err:.3e} "
-                f"(limit {cfg.max_relative_error:.1e} relative)", achieved=err)
+    err = abs(value - table[-2][0])
+    scale = max(abs(value), 1.0)
+    if err > MAX_RELATIVE_ERROR * scale:
+        raise AccuracyError(
+            f"Richardson levels disagree by {err:.3e} "
+            f"(limit {MAX_RELATIVE_ERROR:.1e} relative)", achieved=err)
     return float(value)
+
+
+def central_d1(fn, v, i, h):
+    """5-point O(h^4) central first derivative of fn (scalar- or array-valued)
+    along coordinate i of v; the one stencil of the spray and curvature routes."""
+    e = np.zeros(len(v))
+    e[i] = h
+    return (np.asarray(fn(v - 2 * e)) - 8 * np.asarray(fn(v - e))
+            + 8 * np.asarray(fn(v + e)) - np.asarray(fn(v + 2 * e))) / (12 * h)
 
 
 # ======================================================================

@@ -194,11 +194,6 @@ class Chain:
         return sum(link.funk_length for link in self.links)
 
 
-def chain_length(chain: Chain) -> float:
-    """L(chain), the sum of the links' interval Funk lengths."""
-    return chain.length
-
-
 # ======================================================================
 # Pseudo-distance upper estimator
 # ======================================================================
@@ -222,6 +217,8 @@ class PseudoDistanceOptions:
             raise ConstructionError("search budget must be positive")
         if not self.k > 0:
             raise ConstructionError("the Funk constant k must be positive")
+        if self.c is not None and not self.c > 0:
+            raise ConstructionError("the Ricci bound constant c must be positive")
 
 
 @dataclass
@@ -555,7 +552,7 @@ def schwarz_ratio(metric, link: ChainLink, grid, c) -> SchwarzReport:
     k sqrt(n-1)/(2c) is report-only.
     """
     if not c > 0:
-        raise ValueError("the Ricci bound constant c must be positive")
+        raise ConstructionError("the Ricci bound constant c must be positive")
     _require_ricci_bound(metric, link, c)
     grid = np.asarray(sorted(float(u) for u in grid))
     if grid.size == 0 or abs(grid).max() >= 1.0:
@@ -625,7 +622,7 @@ def corollary_check(metric, link: ChainLink, c) -> CorollaryReport:
     zero against zero and passes.
     """
     if not c > 0:
-        raise ValueError("the Ricci bound constant c must be positive")
+        raise ConstructionError("the Ricci bound constant c must be positive")
     n = metric.dimension
     lhs = link.funk_length
     if link.degenerate:

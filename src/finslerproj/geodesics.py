@@ -15,8 +15,8 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import integrate, optimize
 
-from .core import BOUNDARY_MARGIN, as_components, as_coords
-from .diffengine import fundamental_tensor
+from .core import BOUNDARY_MARGIN, as_components, as_coords, boundary_room
+from .diffengine import central_d1, fundamental_tensor
 from .errors import (ConnectivityError, ConvexityError, DomainError,
                      StiffnessError)
 
@@ -51,24 +51,14 @@ def _spray_from_tensor(metric, x, y):
 
     analytic = metric.metric_tensor(x, y) is not None
     h = (1e-5 if analytic else 1e-3) * max(1.0, float(np.abs(x).max()))
-    if metric.bounded_domain:
-        # keep the stencil inside the domain
-        phi = metric.domain_value(x)
-        probe = 1e-6 * max(1.0, float(np.abs(x).max()))
-        gphi = np.array([(metric.domain_value(x + probe * e) - metric.domain_value(x - probe * e))
-                         / (2 * probe) for e in np.eye(n)])
-        dist = phi / (np.abs(gphi).sum() + 1e-300)
-        h = min(h, 0.25 * dist)
-        if h <= 0:
-            raise DomainError("spray stencil cannot stay inside the domain")
+    h = min(h, 0.25 * boundary_room(metric, x))  # keep the stencil inside the domain
+    if h <= 0:
+        raise DomainError("spray stencil cannot stay inside the domain")
 
     g0 = g_at(x)
     dg = np.empty((n, n, n))  # dg[a, b, k] = d g_ab / d x^k
     for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        dg[:, :, k] = (g_at(x - 2 * e) - 8 * g_at(x - e)
-                       + 8 * g_at(x + e) - g_at(x + 2 * e)) / (12 * h)
+        dg[:, :, k] = central_d1(g_at, x, k, h)
     rhs = np.einsum("sjk,j,k->s", dg, y, y) - 0.5 * np.einsum("jks,j,k->s", dg, y, y)
     try:
         return np.linalg.solve(g0, rhs)
@@ -91,14 +81,9 @@ def spray(metric, x, y, with_jacobian=False) -> SprayData:
     vec = spray_vector(metric, x, y)
     jac = None
     if with_jacobian:
-        n = metric.dimension
         h = 1e-5 * max(1.0, float(np.abs(y).max()))
-        jac = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            jac[:, j] = (spray_vector(metric, x, y - 2 * e) - 8 * spray_vector(metric, x, y - e)
-                         + 8 * spray_vector(metric, x, y + e) - spray_vector(metric, x, y + 2 * e)) / (12 * h)
+        jac = np.column_stack([central_d1(lambda w: spray_vector(metric, x, w), y, j, h)
+                               for j in range(metric.dimension)])
     return SprayData(vec, jac)
 
 
@@ -359,8 +344,15 @@ def connect(metric, x, y, tol=1e-8, max_nfev=60) -> BVPResult:
         return seg, s_star, miss
 
     best = None  # (segment, s_star, miss) of the closest shot so far
+    shots = {}  # residual by the exact bytes of u: the solver revisits points
 
     def residual(u):
+        key = u.tobytes()
+        if key not in shots:
+            shots[key] = miss_vector(u)
+        return shots[key].copy()
+
+    def miss_vector(u):
         nonlocal best
         if not np.all(np.isfinite(u)):
             return np.full(n, 1e6)

@@ -111,18 +111,6 @@ class MobiusTransform:
         return cls(0.5 * (hi - lo), 0.5 * (hi + lo), 0.0, 1.0)
 
 
-def mobius_apply(m: MobiusTransform, t):
-    return m.apply(t)
-
-
-def mobius_compose(m1: MobiusTransform, m2: MobiusTransform) -> MobiusTransform:
-    return m1.compose(m2)
-
-
-def mobius_invert(m: MobiusTransform) -> MobiusTransform:
-    return m.inverse()
-
-
 def cross_ratio(t1, t2, t3, t4) -> float:
     """(t1 - t3)(t2 - t4) / ((t1 - t4)(t2 - t3))."""
     num = (t1 - t3) * (t2 - t4)
@@ -135,14 +123,6 @@ def cross_ratio(t1, t2, t3, t4) -> float:
 # ======================================================================
 # Schwarzian derivative
 # ======================================================================
-
-@dataclass(frozen=True)
-class SchwarzianSample:
-    """A parameter value and the Schwarzian there."""
-
-    t: float
-    value: float
-
 
 _CRITICAL_SLOPE = 1e-9
 
@@ -194,10 +174,6 @@ def schwarzian_fd(f, t, step=0.02) -> float:
     d2 = float(_STENCIL9[2] @ vals) / step ** 2
     d3 = float(_STENCIL9[3] @ vals) / step ** 3
     return _schwarzian_from_derivs(d1, d2, d3, t)
-
-
-def schwarzian_profile(f, ts, **kw):
-    return [SchwarzianSample(float(t), schwarzian(f, t, **kw)) for t in ts]
 
 
 def check_composition(f, g, t, *, step=0.02) -> float:

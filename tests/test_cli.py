@@ -120,6 +120,27 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
 
+    @pytest.mark.parametrize("argv", [
+        ["curvature", "--metric", "klein", "--samples", "2", "--check-bound", "--c", "-1"],
+        ["pseudodist", "--metric", "klein", "--x0", "0", "0", "--x1", "0.3", "0",
+         "--check-schwarz", "--c", "-1"],
+    ])
+    def test_non_positive_c(self, argv, capsys):
+        code, text = run_args(argv, capture=True)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConstructionError:") and "\n" not in err.strip()
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--metric", "klein", "--samples", "0"],
+        ["curvature", "--metric", "klein", "--check-bound", "--c", "1", "--samples", "0"],
+    ])
+    def test_empty_sample_set(self, argv, capsys):
+        code, text = run_args(argv, capture=True)
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "\n" not in err.strip()
+
     def test_missing_flags(self):
         code, _ = run_args(["funk"], capture=True)
         assert code == 1

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from finslerproj.core import (FinslerMetric, Point, SampledCurve, TangentVector,
-                              arc_length, validate_homogeneity,
+                              arc_length, boundary_room, validate_homogeneity,
                               validate_strong_convexity)
 from finslerproj.errors import AccuracyError, DomainError
-from finslerproj.metrics import IntervalFunkMetric
+from finslerproj.metrics import IntervalFunkMetric, klein_metric
 
 
 class SquaredNormField(FinslerMetric):
@@ -51,6 +51,20 @@ class TestPoints:
         TangentVector(p, np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             TangentVector(p, np.array([1.0, 0.0, 0.0]))
+
+
+class TestBoundaryRoom:
+    def test_klein_matches_closed_form(self, rng):
+        # phi = 1 - |x|^2 has gradient -2x, whose l1 norm is 2 sum |x_i|
+        for n in (2, 3):
+            metric = klein_metric(n)
+            for _ in range(20):
+                x = metric.random_interior_point(rng)
+                exact = (1.0 - x @ x) / (2.0 * np.abs(x).sum())
+                assert boundary_room(metric, x) == pytest.approx(exact, rel=1e-8)
+
+    def test_unbounded_domain_is_infinite(self, eucl2):
+        assert boundary_room(eucl2, np.array([3.0, -4.0])) == math.inf
 
 
 class TestHomogeneity:

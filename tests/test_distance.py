@@ -7,8 +7,7 @@ import pytest
 from scipy import integrate
 
 from finslerproj.distance import (Chain, ChainLink, IntervalPair,
-                                  PseudoDistanceOptions, chain_length,
-                                  corollary_check, funk_distance_interval,
+                                  PseudoDistanceOptions, corollary_check, funk_distance_interval,
                                   positivity_probe, pseudo_distance_upper,
                                   schwarz_ratio, _single_link_search)
 from finslerproj.errors import (ConstructionError, DomainError, HypothesisError,
@@ -69,7 +68,7 @@ class TestChains:
     def test_empty_motion_chain(self, klein2):
         link = ChainLink.degenerate_link(np.array([0.1, 0.2]))
         chain = Chain(links=[link], waypoints=[np.array([0.1, 0.2])] * 2)
-        assert chain_length(chain) == 0.0
+        assert chain.length == 0.0
 
     def test_two_link_concatenation_adds(self, klein2):
         opts = PseudoDistanceOptions()
@@ -82,7 +81,7 @@ class TestChains:
         chain = Chain(links=links, waypoints=[np.array([0.0, 0.0]),
                                               np.array([0.3, 0.0]),
                                               np.array([0.5, 0.0])])
-        assert chain_length(chain) == pytest.approx(
+        assert chain.length == pytest.approx(
             links[0].funk_length + links[1].funk_length)
 
     def test_collinear_split_on_shared_chart_adds_exactly(self, klein2):
@@ -104,7 +103,7 @@ class TestChains:
                            stages=link.stages)
         chain = Chain(links=[first, second],
                       waypoints=[link.start_point, mid_point, link.end_point])
-        assert chain_length(chain) == pytest.approx(link.funk_length, abs=1e-10)
+        assert chain.length == pytest.approx(link.funk_length, abs=1e-10)
 
     def test_waypoint_mismatch_rejected(self, klein2):
         link = ChainLink.degenerate_link(np.array([0.1, 0.2]))
@@ -126,7 +125,7 @@ class TestPseudoDistance:
         report = pseudo_distance_upper(klein2, [0.2, 0.1], [0.2, 0.1])
         assert report.estimate == 0.0
         assert report.canonical_value == 0.0
-        assert chain_length(report.chain) == 0.0
+        assert report.chain.length == 0.0
 
     def test_euclid_estimates_vanish(self, eucl2, rng):
         for _ in range(5):
@@ -186,6 +185,10 @@ class TestPseudoDistance:
             PseudoDistanceOptions(budget=0)
         with pytest.raises(ConstructionError):
             PseudoDistanceOptions(k=-1.0)
+        with pytest.raises(ConstructionError):
+            PseudoDistanceOptions(c=0.0)
+        with pytest.raises(ConstructionError):
+            PseudoDistanceOptions(c=-1.0)
 
     def test_pole_separated_endpoints_inadmissible(self):
         sphere = SphereMetric()
@@ -252,7 +255,7 @@ class TestSchwarzRatio:
     def test_grid_validation(self, klein2, klein_link):
         with pytest.raises(DomainError):
             schwarz_ratio(klein2, klein_link, [0.0, 1.0], c=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConstructionError):
             schwarz_ratio(klein2, klein_link, [0.0, 0.5], c=-1.0)
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from finslerproj import geodesics
 from finslerproj.diffengine import fundamental_tensor
 from finslerproj.errors import ConnectivityError, StiffnessError
 from finslerproj.geodesics import (connect, extend_geodesic, finsler_distance,
@@ -233,6 +234,22 @@ class TestConnect:
                 assert seg.sample_s.max() == seg.s_max and seg.s_min == 0.0
                 assert np.array_equal(seg.sample_states[-1], seg.state(seg.s_max))
                 assert seg.unit_speed_drift() <= 1e-7
+
+    def test_solver_path_shoots_each_direction_once(self, monkeypatch):
+        # least_squares re-evaluates its start and its accepted point; those
+        # shots must come from the memo, not from a second integration
+        directions = []
+        integrate = geodesics.integrate_geodesic
+
+        def recording(metric, x0, y0, length, **kw):
+            directions.append(np.asarray(y0, dtype=float).tobytes())
+            return integrate(metric, x0, y0, length, **kw)
+
+        monkeypatch.setattr(geodesics, "integrate_geodesic", recording)
+        result = connect(poincare_disk(), np.array([0.3, 0.1]), np.array([-0.2, 0.4]))
+        assert result.iterations > 1
+        assert len(directions) == result.iterations
+        assert len(set(directions)) == len(directions)
 
     def test_solver_path_ends_at_target(self):
         metric = poincare_disk()
