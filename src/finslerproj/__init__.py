@@ -12,8 +12,7 @@ from .curvature import (CurvatureData, ProjectiveFactor, RicciBoundReport,
                         check_ricci_bound, curvature_matrix, projective_factor,
                         ricci_scalar, ricci_tensor, verify_ric_transformation,
                         weighted_ricci)
-from .diffengine import (DerivativeRequest, EngineConfig, Jet,
-                         fundamental_tensor, partial)
+from .diffengine import Jet, fundamental_tensor
 from .distance import (Chain, ChainLink, CorollaryReport, IntervalPair,
                        PositivityReport, PseudoDistanceOptions,
                        PseudoDistanceReport, SchwarzReport, corollary_check,
@@ -24,9 +23,8 @@ from .errors import (AccuracyError, ChartError, ConfigError, ConnectivityError,
                      DomainError, FinslerError, HypothesisError,
                      InadmissibleChartError, NotProjectiveError, PoleError,
                      StiffnessError)
-from .geodesics import (BVPResult, GeodesicSegment, SprayData, connect,
-                        extend_geodesic, finsler_distance, integrate_geodesic,
-                        spray, spray_vector)
+from .geodesics import (BVPResult, GeodesicSegment, connect, extend_geodesic,
+                        finsler_distance, integrate_geodesic, spray_vector)
 from .metrics import (EuclideanMetric, IntervalFunkMetric, KleinMetric,
                       QuadraticDomainSpec, QuadraticFunkMetric, RandersMetric,
                       RandersSpec, RiemannianMetric, RiemannianSpec, funk_ball,

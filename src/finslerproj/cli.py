@@ -95,8 +95,8 @@ def build_metric(kind, n=2, k=1.0, spec=None):
 
 
 def _metric_from_args(args):
-    spec = None
-    if getattr(args, "spec", None):
+    spec = getattr(args, "spec_blob", None)
+    if spec is None and getattr(args, "spec", None):
         with open(args.spec) as fh:
             spec = json.load(fh)
     return build_metric(args.metric, n=args.n, k=args.k, spec=spec)
@@ -247,10 +247,7 @@ def cmd_pseudodist(args, out):
     if args.check_schwarz or args.check_corollary:
         if args.c is None:
             raise ConfigError("the checkers need --c")
-        link = report.chain.links[0] if report.chain.links else None
-        canonical = dist._single_link_search(metric, np.asarray(args.x0, dtype=float),
-                                             np.asarray(args.x1, dtype=float), options)
-        clink = canonical["canonical_chain"].links[0]
+        clink = report.canonical_chain.links[0]
         if args.check_schwarz:
             grid = np.linspace(-args.grid_extent, args.grid_extent, args.grid)
             schwarz = dist.schwarz_ratio(metric, clink, grid, args.c)
@@ -345,15 +342,9 @@ class RunConfig:
 def cmd_run(args, out):
     config = RunConfig.from_file(args.config)
     argv, spec_blob = config.to_argv()
-    if spec_blob:
-        import tempfile
-
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            fh.write(dump_json(spec_blob))
-            argv += ["--spec", fh.name]
-    code, text = run_args(argv, capture=True)
-    out.write(text)
-    return code
+    inner = build_parser().parse_args(argv)
+    inner.spec_blob = spec_blob  # in memory; it takes precedence over --spec
+    return inner.handler(inner, out)
 
 
 # ----------------------------------------------------------------------

@@ -1,32 +1,29 @@
-"""Derivatives of scalar fields on the slit tangent bundle.
+"""Derivatives on the slit tangent bundle: Taylor jets, the y-Hessian of
+F^2/2 and a first-derivative stencil.
 
-Two backends:
+`Jet` is a truncated Taylor series whose coefficients may be jets of a
+lower nesting level, so arithmetic on plain expressions carries exact mixed
+partials up to roundoff; the curvature module nests it directly.
 
-* truncated-Taylor forward propagation (`Jet`) for fields written as plain
-  arithmetic expressions, exact up to roundoff;
-* central finite differences with joint Richardson extrapolation for
-  black-box callables.
+`fundamental_tensor` is the one Hessian the geometry is built from,
+g_ij = (F^2/2)_{y^i y^j}. An analytic provider on the metric answers first;
+otherwise nested jets differentiate a jet-safe norm, and central
+differences with Richardson extrapolation a black-box one.
 
-Everything downstream (fundamental tensor, sprays, Ricci formulas) reduces to
-mixed partials of order at most 2 in x and 3 in y of such fields.
+`central_d1` is the shared 5-point stencil of the spray and curvature
+routes for fields that are only available as black boxes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
 from .errors import AccuracyError, ConvexityError
 
 _EPS = float(np.finfo(float).eps)
-
-MAX_X_ORDER = 2
-MAX_Y_ORDER = 3
-MAX_TOTAL_ORDER = 5
 
 
 # ======================================================================
@@ -63,9 +60,6 @@ class Jet:
         return f"Jet(level={self.level}, coef={self.coef})"
 
     # -- helpers -------------------------------------------------------
-
-    def _is_scalar(self, other):
-        return not isinstance(other, Jet) or other.level < self.level
 
     def _same(self, other):
         return isinstance(other, Jet) and other.level == self.level
@@ -136,7 +130,7 @@ class Jet:
             acc = 0.0
             for j in range(k):
                 acc = acc + out[j] * _at(self.coef, k - j)
-            out.append(-(acc * r0) if not isinstance(r0, Jet) else -(acc * r0))
+            out.append(-(acc * r0))
         return Jet(out, self.level)
 
     def __pow__(self, p):
@@ -157,7 +151,7 @@ class Jet:
     def sqrt(self):
         s0 = _lift("sqrt", self.coef[0])
         out = [s0]
-        inv2s0 = 0.5 / s0 if not isinstance(s0, Jet) else s0._reciprocal() * 0.5
+        inv2s0 = 0.5 / s0  # a jet s0 answers with its reciprocal times 0.5
         for k in range(1, len(self.coef)):
             acc = 0.0
             for j in range(1, k):
@@ -187,10 +181,10 @@ class Jet:
             out.append((_at(self.coef, k) - acc * (1.0 / k)) * inv_u0)
         return Jet(out, self.level)
 
-    def _sin_cos(self):
-        s0 = _lift("sin", self.coef[0])
-        c0 = _lift("cos", self.coef[0])
-        s, c = [s0], [c0]
+    def _sin_cos(self, hyperbolic=False):
+        """(sin, cos) of the series, or (sinh, cosh) when hyperbolic."""
+        s = [_lift("sinh" if hyperbolic else "sin", self.coef[0])]
+        c = [_lift("cosh" if hyperbolic else "cos", self.coef[0])]
         for k in range(1, len(self.coef)):
             sacc = 0.0
             cacc = 0.0
@@ -199,22 +193,7 @@ class Jet:
                 sacc = sacc + uj * c[k - j]
                 cacc = cacc + uj * s[k - j]
             s.append(sacc * (1.0 / k))
-            c.append(-(cacc * (1.0 / k)))
-        return Jet(s, self.level), Jet(c, self.level)
-
-    def _sinh_cosh(self):
-        s0 = _lift("sinh", self.coef[0])
-        c0 = _lift("cosh", self.coef[0])
-        s, c = [s0], [c0]
-        for k in range(1, len(self.coef)):
-            sacc = 0.0
-            cacc = 0.0
-            for j in range(1, k + 1):
-                uj = j * _at(self.coef, j)
-                sacc = sacc + uj * c[k - j]
-                cacc = cacc + uj * s[k - j]
-            s.append(sacc * (1.0 / k))
-            c.append(cacc * (1.0 / k))
+            c.append(cacc * (1.0 / k) if hyperbolic else -(cacc * (1.0 / k)))
         return Jet(s, self.level), Jet(c, self.level)
 
     def sin(self):
@@ -228,13 +207,13 @@ class Jet:
         return s / c
 
     def sinh(self):
-        return self._sinh_cosh()[0]
+        return self._sin_cos(hyperbolic=True)[0]
 
     def cosh(self):
-        return self._sinh_cosh()[1]
+        return self._sin_cos(hyperbolic=True)[1]
 
     def tanh(self):
-        s, c = self._sinh_cosh()
+        s, c = self._sin_cos(hyperbolic=True)
         return s / c
 
     def derivative(self, order):
@@ -268,14 +247,6 @@ def smooth_sqrt(v):
     return v.sqrt() if isinstance(v, Jet) else math.sqrt(v)
 
 
-def smooth_log(v):
-    return v.log() if isinstance(v, Jet) else math.log(v)
-
-
-def smooth_exp(v):
-    return v.exp() if isinstance(v, Jet) else math.exp(v)
-
-
 def extract_coefficient(value, level, order):
     """Taylor coefficient of `value` for the variable at the given level."""
     if not isinstance(value, Jet) or value.level < level:
@@ -283,154 +254,6 @@ def extract_coefficient(value, level, order):
     if value.level > level:
         raise ValueError("extract levels from the highest down")
     return _at(value.coef, order)
-
-
-# ======================================================================
-# Requests and configuration
-# ======================================================================
-
-@dataclass(frozen=True)
-class DerivativeRequest:
-    """A mixed-partial request for a scalar field f(x, y).
-
-    x_orders and y_orders are multi-indices; the total x order is capped at
-    2, y at 3, combined at 5, which covers every curvature formula used here.
-    """
-
-    field: Callable
-    x_orders: tuple
-    y_orders: tuple
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x_orders", tuple(int(o) for o in self.x_orders))
-        object.__setattr__(self, "y_orders", tuple(int(o) for o in self.y_orders))
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        if len(self.x_orders) != self.x.size or len(self.y_orders) != self.y.size:
-            raise ValueError("multi-index length must match the point dimension")
-        if any(o < 0 for o in self.x_orders + self.y_orders):
-            raise ValueError("derivative orders must be nonnegative")
-        if sum(self.x_orders) > MAX_X_ORDER:
-            raise ValueError(f"total x order limited to {MAX_X_ORDER}")
-        if sum(self.y_orders) > MAX_Y_ORDER:
-            raise ValueError(f"total y order limited to {MAX_Y_ORDER}")
-        if sum(self.x_orders) + sum(self.y_orders) > MAX_TOTAL_ORDER:
-            raise ValueError(f"combined order limited to {MAX_TOTAL_ORDER}")
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Differentiation backend selection."""
-
-    mode: str = "automatic-forward"
-
-    def __post_init__(self):
-        if self.mode not in ("automatic-forward", "finite-difference"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-
-DEFAULT_CONFIG = EngineConfig()
-FD_CONFIG = EngineConfig(mode="finite-difference")
-
-
-# ======================================================================
-# partial
-# ======================================================================
-
-def partial(req: DerivativeRequest, cfg: EngineConfig = DEFAULT_CONFIG) -> float:
-    """Mixed partial of req.field at (req.x, req.y)."""
-    if cfg.mode == "automatic-forward":
-        return _partial_jets(req)
-    return _partial_fd(req)
-
-
-def _partial_jets(req):
-    xs = list(req.x.astype(float))
-    ys = list(req.y.astype(float))
-    levels = []  # (level, order) in creation order
-    level = 0
-    for i, o in enumerate(req.x_orders):
-        if o > 0:
-            level += 1
-            xs[i] = Jet.variable(xs[i], o, level)
-            levels.append((level, o))
-    for i, o in enumerate(req.y_orders):
-        if o > 0:
-            level += 1
-            ys[i] = Jet.variable(ys[i], o, level)
-            levels.append((level, o))
-    value = req.field(xs, ys)
-    for lev, o in sorted(levels, reverse=True):
-        value = extract_coefficient(value, lev, o)
-        value = value * math.factorial(o) if o > 1 else value
-    if isinstance(value, Jet):
-        raise AccuracyError("jet extraction left residual nesting levels")
-    return float(value)
-
-
-# Richardson halvings of the finite-difference step, and the largest relative
-# disagreement accepted between the last two levels
-RICHARDSON_LEVELS = 2
-MAX_RELATIVE_ERROR = 1e-4
-
-# minimal central stencils, error series in even powers of h
-_STENCILS = {
-    0: ((0, 1.0),),
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-}
-
-
-def _default_step(total_order):
-    """Order-adapted base step, before scaling by the coordinate magnitude."""
-    return _EPS ** (1.0 / (total_order + 2)) * 2.0 * 4.0 ** RICHARDSON_LEVELS
-
-
-def _partial_fd(req):
-    orders = list(req.x_orders) + list(req.y_orders)
-    nx = req.x.size
-    total = sum(orders)
-    if total == 0:
-        return float(req.field(req.x.copy(), req.y.copy()))
-    base = _default_step(total)
-    point = np.concatenate([req.x, req.y])
-    active = [i for i, o in enumerate(orders) if o > 0]
-    steps = {i: base * max(1.0, abs(point[i])) for i in active}
-
-    def tensor_estimate(shrink):
-        stencil_axes = []
-        for i in active:
-            h = steps[i] / shrink
-            stencil_axes.append([(i, off * h, w / h ** orders[i])
-                                 for off, w in _STENCILS[orders[i]]])
-        acc = 0.0
-        for combo in product(*stencil_axes):
-            z = point.copy()
-            w = 1.0
-            for i, dh, wi in combo:
-                z[i] += dh
-                w *= wi
-            acc += w * float(req.field(z[:nx], z[nx:]))
-        return acc
-
-    estimates = [tensor_estimate(2.0 ** j) for j in range(RICHARDSON_LEVELS + 1)]
-    table = [estimates]
-    for m in range(1, RICHARDSON_LEVELS + 1):
-        prev = table[-1]
-        fac = 4.0 ** m
-        table.append([(fac * prev[j + 1] - prev[j]) / (fac - 1.0)
-                      for j in range(len(prev) - 1)])
-    value = table[-1][0]
-    err = abs(value - table[-2][0])
-    scale = max(abs(value), 1.0)
-    if err > MAX_RELATIVE_ERROR * scale:
-        raise AccuracyError(
-            f"Richardson levels disagree by {err:.3e} "
-            f"(limit {MAX_RELATIVE_ERROR:.1e} relative)", achieved=err)
-    return float(value)
 
 
 def central_d1(fn, v, i, h):
@@ -442,15 +265,29 @@ def central_d1(fn, v, i, h):
             + 8 * np.asarray(fn(v + e)) - np.asarray(fn(v + 2 * e))) / (12 * h)
 
 
+
+
 # ======================================================================
 # fundamental tensor
 # ======================================================================
 
-def fundamental_tensor(metric, x, y, cfg: EngineConfig | None = None) -> np.ndarray:
+# Richardson halvings of the finite-difference step, and the largest relative
+# disagreement accepted between the last two levels
+RICHARDSON_LEVELS = 2
+MAX_RELATIVE_ERROR = 1e-4
+
+# central stencils (offset, weight) of the first and second derivative, with
+# error series in even powers of h
+_D1 = ((-1, -0.5), (1, 0.5))
+_D2 = ((-1, 1.0), (0, -2.0), (1, 1.0))
+
+
+def fundamental_tensor(metric, x, y) -> np.ndarray:
     """Hessian of F^2/2 in y, the fundamental tensor g_ij(x, y).
 
-    Analytic providers on the metric take precedence. The numeric result is
-    checked for symmetry and then symmetrized exactly.
+    Analytic providers on the metric take precedence; otherwise nested
+    Taylor jets differentiate a jet-safe norm and central differences a
+    black-box one. The numeric result is symmetrized exactly.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -459,31 +296,75 @@ def fundamental_tensor(metric, x, y, cfg: EngineConfig | None = None) -> np.ndar
     if analytic is not None:
         g = np.asarray(analytic, dtype=float)
         return 0.5 * (g + g.T)
-    if cfg is None:
-        cfg = DEFAULT_CONFIG if metric.supports_jets else FD_CONFIG
     n = metric.dimension
-
-    if cfg.mode == "automatic-forward":
-        def energy(xs, ys):
-            f = metric._norm_impl(xs, ys)
-            return 0.5 * (f * f)
-        field = energy
-    else:
-        def energy(xs, ys):
-            f = metric.norm(xs, ys)
-            return 0.5 * f * f
-        field = energy
-
+    entry = _energy_y_hessian_jets if metric.supports_jets else _energy_y_hessian_fd
     g = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
-            yo = [0] * n
-            yo[i] += 1
-            yo[j] += 1
-            req = DerivativeRequest(field, (0,) * n, tuple(yo), x, y)
-            g[i, j] = partial(req, cfg)
-            g[j, i] = g[i, j]
+            g[i, j] = g[j, i] = entry(metric, x, y, i, j)
     g = 0.5 * (g + g.T)
     if not np.all(np.isfinite(g)):
         raise ConvexityError("fundamental tensor is not finite")
     return g
+
+
+def _energy_y_hessian_jets(metric, x, y, i, j):
+    """d^2(F^2/2)/dy^i dy^j by nested Taylor jets, exact up to roundoff:
+    one order-2 variable on the diagonal, two order-1 levels off it."""
+    ys = list(y)
+    if i == j:
+        ys[i] = Jet.variable(ys[i], 2)
+    else:
+        ys[i] = Jet.variable(ys[i], 1, level=1)
+        ys[j] = Jet.variable(ys[j], 1, level=2)
+    f = metric._norm_impl(list(x), ys)
+    energy = 0.5 * (f * f)
+    if i == j:
+        return float(extract_coefficient(energy, 1, 2) * 2)
+    return float(extract_coefficient(extract_coefficient(energy, 2, 1), 1, 1))
+
+
+def _energy_y_hessian_fd(metric, x, y, i, j):
+    """d^2(F^2/2)/dy^i dy^j by central differences on the norm, with
+    Richardson extrapolation over halved steps.
+
+    Raises AccuracyError when the last two Richardson levels disagree by
+    more than MAX_RELATIVE_ERROR.
+    """
+    def energy(v):
+        f = metric.norm(x, v)
+        return 0.5 * f * f
+
+    # base step eps^(1/4), the optimum for a second derivative, widened for
+    # the halvings
+    base = _EPS ** 0.25 * 2.0 * 4.0 ** RICHARDSON_LEVELS
+    axes = [(i, _D2, 2)] if i == j else [(i, _D1, 1), (j, _D1, 1)]
+
+    def estimate(shrink):
+        stencil_axes = []
+        for k, stencil, order in axes:
+            h = base * max(1.0, abs(y[k])) / shrink
+            stencil_axes.append([(k, off * h, w / h ** order) for off, w in stencil])
+        acc = 0.0
+        for combo in product(*stencil_axes):
+            v = y.copy()
+            w = 1.0
+            for k, dh, wk in combo:
+                v[k] += dh
+                w *= wk
+            acc += w * float(energy(v))
+        return acc
+
+    table = [[estimate(2.0 ** m) for m in range(RICHARDSON_LEVELS + 1)]]
+    for m in range(1, RICHARDSON_LEVELS + 1):
+        prev = table[-1]
+        fac = 4.0 ** m
+        table.append([(fac * prev[k + 1] - prev[k]) / (fac - 1.0)
+                      for k in range(len(prev) - 1)])
+    value = table[-1][0]
+    err = abs(value - table[-2][0])
+    if err > MAX_RELATIVE_ERROR * max(abs(value), 1.0):
+        raise AccuracyError(
+            f"Richardson levels disagree by {err:.3e} "
+            f"(limit {MAX_RELATIVE_ERROR:.1e} relative)", achieved=err)
+    return float(value)

@@ -228,9 +228,11 @@ class PseudoDistanceReport:
     `estimate` is the best (smallest) chain value found by the chart search;
     `canonical_value` is the untranslated chart's value, reported alongside
     because the chart family drives single-link values toward zero and the
-    canonical member is the reproducible reference. Lower-bound fields are
-    filled only when a Ricci-bound constant is supplied and its hypothesis
-    check passes; the inequality comparisons are recorded, not enforced.
+    canonical member is the reproducible reference; `canonical_chain` is
+    that member's single-link chain, kept for the checkers and left out of
+    the dict. Lower-bound fields are filled only when a Ricci-bound constant
+    is supplied and its hypothesis check passes; the inequality comparisons
+    are recorded, not enforced.
     """
 
     x: np.ndarray
@@ -246,6 +248,7 @@ class PseudoDistanceReport:
     hypothesis_passed: bool | None = None
     estimate_above_lower_bound: bool | None = None
     canonical_above_lower_bound: bool | None = None
+    canonical_chain: Chain | None = None
 
     def to_dict(self):
         chain = None
@@ -423,7 +426,7 @@ def pseudo_distance_upper(metric, x, y, options: PseudoDistanceOptions | None = 
         chain = Chain(links=[link], waypoints=[x, x])
         return PseudoDistanceReport(x=x, y=y, estimate=0.0, canonical_value=0.0,
                                     chain=chain, evaluations=0, budget=options.budget,
-                                    geodesic_distance=0.0)
+                                    geodesic_distance=0.0, canonical_chain=chain)
 
     single = _single_link_search(metric, x, y, options)
     best = single["best"]
@@ -458,7 +461,8 @@ def pseudo_distance_upper(metric, x, y, options: PseudoDistanceOptions | None = 
     report = PseudoDistanceReport(x=x, y=y, estimate=best, canonical_value=canonical,
                                   chain=chain, evaluations=evaluations,
                                   budget=options.budget,
-                                  geodesic_distance=single["bvp"].segment.length)
+                                  geodesic_distance=single["bvp"].segment.length,
+                                  canonical_chain=single["canonical_chain"])
     if options.c is not None:
         _attach_lower_bounds(metric, report, single["bvp"].segment, options)
     return report
@@ -553,6 +557,8 @@ def schwarz_ratio(metric, link: ChainLink, grid, c) -> SchwarzReport:
     """
     if not c > 0:
         raise ConstructionError("the Ricci bound constant c must be positive")
+    if link.degenerate:
+        raise DomainError("the Schwarz ratio needs a link along a geodesic, not a point")
     _require_ricci_bound(metric, link, c)
     grid = np.asarray(sorted(float(u) for u in grid))
     if grid.size == 0 or abs(grid).max() >= 1.0:

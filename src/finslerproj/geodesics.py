@@ -30,32 +30,26 @@ EXTENSION_MARGIN = 1e-12
 # Spray
 # ======================================================================
 
-@dataclass(frozen=True)
-class SprayData:
-    """Spray coefficients G^i at a line element, optionally with dG/dy."""
-
-    vector: np.ndarray
-    jacobian_y: np.ndarray | None = None
-
-
 def _spray_from_tensor(metric, x, y):
     """Formal-Christoffel route: G^i = g^{is}(dg_sj/dx^k - dg_jk/dx^s / 2) y^j y^k."""
     n = metric.dimension
 
-    def g_at(xx):
-        ga = metric.metric_tensor(xx, y)
-        if ga is not None:
-            ga = np.asarray(ga, dtype=float)
-            return 0.5 * (ga + ga.T)
-        return fundamental_tensor(metric, xx, y)
+    def g_from(xx, ga):
+        if ga is None:
+            return fundamental_tensor(metric, xx, y)
+        ga = np.asarray(ga, dtype=float)
+        return 0.5 * (ga + ga.T)
 
-    analytic = metric.metric_tensor(x, y) is not None
-    h = (1e-5 if analytic else 1e-3) * max(1.0, float(np.abs(x).max()))
+    def g_at(xx):
+        return g_from(xx, metric.metric_tensor(xx, y))
+
+    analytic = metric.metric_tensor(x, y)  # read once: it is also g at x
+    h = (1e-5 if analytic is not None else 1e-3) * max(1.0, float(np.abs(x).max()))
     h = min(h, 0.25 * boundary_room(metric, x))  # keep the stencil inside the domain
     if h <= 0:
         raise DomainError("spray stencil cannot stay inside the domain")
 
-    g0 = g_at(x)
+    g0 = g_from(x, analytic)
     dg = np.empty((n, n, n))  # dg[a, b, k] = d g_ab / d x^k
     for k in range(n):
         dg[:, :, k] = central_d1(g_at, x, k, h)
@@ -73,18 +67,6 @@ def spray_vector(metric, x, y) -> np.ndarray:
     if g is not None:
         return np.asarray(g, dtype=float)
     return _spray_from_tensor(metric, x, y)
-
-
-def spray(metric, x, y, with_jacobian=False) -> SprayData:
-    """SprayData at a line element; jacobian_y on request (finite differences)."""
-    x, y = metric.check_line_element(x, y)
-    vec = spray_vector(metric, x, y)
-    jac = None
-    if with_jacobian:
-        h = 1e-5 * max(1.0, float(np.abs(y).max()))
-        jac = np.column_stack([central_d1(lambda w: spray_vector(metric, x, w), y, j, h)
-                               for j in range(metric.dimension)])
-    return SprayData(vec, jac)
 
 
 # ======================================================================
@@ -241,8 +223,9 @@ def integrate_geodesic(metric, x0, y0, length, *, tol=1e-11,
     x0, y0 = metric.check_line_element(as_coords(x0), as_components(y0))
     y0 = y0 / metric.norm(x0, y0)
     z0 = np.concatenate([x0, y0])
-    if length < 0:
-        raise ValueError("length must be nonnegative; integrate the reverse direction instead")
+    if not (math.isfinite(length) and length >= 0):
+        raise DomainError(f"geodesic length must be finite and nonnegative, got {length}; "
+                          "integrate the reverse direction for a backward leg")
     if length == 0.0:
         return GeodesicSegment(metric, z0)
     sol, truncated = _solve_leg(metric, z0, float(length), tol, tol * 1e-1, boundary_margin)
@@ -253,7 +236,9 @@ def integrate_geodesic(metric, x0, y0, length, *, tol=1e-11,
 def extend_geodesic(metric, x0, y0, *, cap=EXTENSION_CAP, tol=1e-11,
                     boundary_margin=EXTENSION_MARGIN) -> GeodesicSegment:
     """Maximal extension through (x0, y0): both directions to the boundary
-    margin or the length cap."""
+    margin or the length cap, which must be finite and positive."""
+    if not (math.isfinite(cap) and cap > 0):
+        raise DomainError(f"extension cap must be finite and positive, got {cap}")
     x0, y0 = metric.check_line_element(as_coords(x0), as_components(y0))
     y0 = y0 / metric.norm(x0, y0)
     z0 = np.concatenate([x0, y0])

@@ -18,7 +18,7 @@ from scipy import integrate, interpolate, optimize
 
 from .curvature import ricci_scalar
 from .diffengine import Jet
-from .errors import ChartError, CriticalPointError, PoleError
+from .errors import ChartError, CriticalPointError, DomainError, PoleError
 from .geodesics import GeodesicSegment
 
 
@@ -57,12 +57,6 @@ class MobiusTransform:
         if abs(den) < 1e-14 * (abs(self.c * t) + abs(self.d) + 1.0):
             raise PoleError(f"Moebius transform evaluated at its pole t={t}")
         return (self.a * t + self.b) / den
-
-    def apply_inf(self):
-        """Image of the point at infinity (math.inf when c == 0)."""
-        if self.c == 0.0:
-            return math.inf
-        return self.a / self.c
 
     @property
     def pole(self) -> float:
@@ -224,16 +218,6 @@ class ProjectiveParameter:
         """(w1, w1', w2, w2') at s."""
         return np.asarray(self._sol.sol(float(s)), dtype=float)
 
-    def w1(self, s):
-        return float(self.basis(s)[0])
-
-    def w2(self, s):
-        return float(self.basis(s)[2])
-
-    def wronskian(self, s) -> float:
-        w1, dw1, w2, dw2 = self.basis(s)
-        return float(dw1 * w2 - w1 * dw2)
-
     def wronskian_drift(self, max_scale=1e3, points=200) -> float:
         """Worst deviation of the Wronskian from its initial value 1.
 
@@ -388,7 +372,7 @@ def projective_parameter(metric, segment: GeodesicSegment, *, s0=0.0,
     n = metric.dimension
     lo, hi = segment.s_min, segment.s_max
     if not lo <= s0 <= hi:
-        raise ValueError("normalization point must lie inside the segment")
+        raise DomainError(f"normalization point s0={s0} must lie inside the segment")
     q_lo, q_hi = _q_window(metric, segment)
     count = max(9, int(math.ceil((q_hi - q_lo) / q_step)) + 1)
     s_grid = np.linspace(q_lo, q_hi, count)

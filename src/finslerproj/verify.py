@@ -371,21 +371,16 @@ def criterion_pseudo_distance():
 
 def criterion_schwarz_checkers():
     klein = klein_metric(2)
-    single = dist._single_link_search(
-        klein, np.array([0.0, 0.0]), np.array([0.5, 0.0]),
-        dist.PseudoDistanceOptions())
-    link = single["canonical_chain"].links[0]
+    link = dist.pseudo_distance_upper(klein, [0.0, 0.0], [0.5, 0.0]).canonical_chain.links[0]
     grid = np.linspace(-0.9, 0.9, 13)
     report = dist.schwarz_ratio(klein, link, grid, c=1.0)
     h_err = float(np.abs(report.h_values - 1.0 / (1.0 + report.grid)).max())
     cor = dist.corollary_check(klein, link, c=1.0)
     eucl_refused = False
     try:
-        single_e = dist._single_link_search(
-            EuclideanMetric(2), np.array([0.0, 0.0]), np.array([0.5, 0.0]),
-            dist.PseudoDistanceOptions())
-        dist.schwarz_ratio(EuclideanMetric(2), single_e["canonical_chain"].links[0],
-                           [0.0, 0.5], c=1.0)
+        eucl = EuclideanMetric(2)
+        report_e = dist.pseudo_distance_upper(eucl, [0.0, 0.0], [0.5, 0.0])
+        dist.schwarz_ratio(eucl, report_e.canonical_chain.links[0], [0.0, 0.5], c=1.0)
     except HypothesisError:
         eucl_refused = True
     exit_code = _cli_exit_code_for_flagged_checker()

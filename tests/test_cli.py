@@ -2,6 +2,7 @@
 
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -141,6 +142,26 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and "\n" not in err.strip()
 
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "--metric", "klein", "--x0", "0", "0", "--y0", "1", "0",
+         "--length", "nan"],
+        ["geodesic", "--metric", "klein", "--x0", "0", "0", "--y0", "1", "0",
+         "--length", "-1"],
+        ["geodesic", "--metric", "euclidean", "--x0", "0", "0", "--y0", "1", "0",
+         "--length", "inf"],
+        ["projparam", "--metric", "klein", "--x0", "0", "0", "--y0", "1", "0",
+         "--cap", "-1"],
+        ["projparam", "--metric", "euclidean", "--x0", "0", "0", "--y0", "1", "0",
+         "--cap", "inf"],
+        ["pseudodist", "--metric", "klein", "--x0", "0.1", "0", "--x1", "0.1", "0",
+         "--check-schwarz", "--c", "1"],
+    ])
+    def test_bad_length_cap_or_link(self, argv, capsys):
+        code, text = run_args(argv, capture=True)
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError:") and "\n" not in err.strip()
+
     def test_missing_flags(self):
         code, _ = run_args(["funk"], capture=True)
         assert code == 1
@@ -182,6 +203,22 @@ class TestRunConfig:
         code, text = run_args(["run", "--config", str(path)], capture=True)
         assert code == 0
         assert float(text) == pytest.approx(2.0)
+
+    def test_spec_file_removed(self, tmp_path, monkeypatch):
+        # the spec travels through a temporary file that must not outlive the
+        # run, whether the command succeeds or fails
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        metric = {"kind": "funk-quadratic", "alpha": [[-1.0, 0.0], [0.0, -1.0]],
+                  "beta": [0.0, 0.0], "gamma": 1.0}
+        for x, expected in (([0.5, 0.0], 0), ([2.0, 0.0], 1)):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"metric": metric, "command": {
+                "name": "funk", "x": x, "y": [1.0, 0.0]}}))
+            code, _ = run_args(["run", "--config", str(path)], capture=True)
+            assert code == expected
+            assert list(scratch.iterdir()) == []
 
     def test_missing_command_name(self, tmp_path):
         path = tmp_path / "cfg.json"

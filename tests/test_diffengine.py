@@ -1,17 +1,15 @@
-"""Jet arithmetic and the mixed-partial engine."""
+"""Jet arithmetic, nested jet levels, the stencil, and the y-Hessian."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from finslerproj.diffengine import (DerivativeRequest, EngineConfig, Jet,
-                                    central_d1, fundamental_tensor, partial)
+from finslerproj.diffengine import (Jet, central_d1, extract_coefficient,
+                                    fundamental_tensor)
 from finslerproj.errors import AccuracyError
-from finslerproj.metrics import EuclideanMetric, funk_ball
-
-AUTO = EngineConfig()
-FD = EngineConfig(mode="finite-difference")
+from finslerproj.metrics import EuclideanMetric, funk_ball, klein_metric
 
 # d(F^2)/dx1 of the unit-ball Funk metric at x=(1/2,0), y=(1,0); computed
 # once symbolically from the closed form and frozen
@@ -70,53 +68,65 @@ class TestJet:
         assert (t ** 0.5).derivative(1) == pytest.approx(0.5 / math.sqrt(2.0))
 
 
-class TestPartial:
-    def test_polynomial_mixed_partial_exact(self):
-        field = lambda x, y: x[0] * y[1] ** 3
-        req = DerivativeRequest(field, (1, 0), (0, 3), [0.7, -0.2], [0.3, 0.5])
-        assert partial(req, AUTO) == pytest.approx(6.0, abs=1e-12)
-        assert partial(req, FD) == pytest.approx(6.0, rel=1e-7)
+def nested_partial(field, x, y, x_orders, y_orders):
+    """Mixed partial of field(x, y) by one nested jet level per active
+    coordinate, extracted from the highest level down."""
+    xs, ys = list(x), list(y)
+    levels = []
+    for coords, orders in ((xs, x_orders), (ys, y_orders)):
+        for i, o in enumerate(orders):
+            if o > 0:
+                coords[i] = Jet.variable(coords[i], o, level=len(levels) + 1)
+                levels.append(o)
+    value = field(xs, ys)
+    for level in range(len(levels), 0, -1):
+        value = extract_coefficient(value, level, levels[level - 1])
+        value = value * math.factorial(levels[level - 1])
+    assert not isinstance(value, Jet)
+    return float(value)
 
-    def test_euclidean_energy_hessian(self):
-        metric = EuclideanMetric(2)
 
-        def field(x, y):
-            f = metric._norm_impl(x, y)
-            return f * f
+def stripped(metric, supports_jets):
+    """The norm of `metric` without its analytic fundamental tensor, so
+    fundamental_tensor has to differentiate it."""
+    return SimpleNamespace(
+        dimension=metric.dimension, supports_jets=supports_jets,
+        check_line_element=metric.check_line_element,
+        metric_tensor=lambda x, y: None,
+        _norm_impl=metric._norm_impl, norm=metric.norm)
 
-        for i in range(2):
-            orders = [0, 0]
-            orders[i] = 2
-            req = DerivativeRequest(field, (0, 0), tuple(orders),
-                                    [0.1, 0.2], [0.4, -0.3])
-            assert partial(req, AUTO) == pytest.approx(2.0, abs=1e-12)
 
-    def test_funk_ball_golden_x_derivative(self):
-        ball = funk_ball(2)
+class TestNestedJets:
+    """The nested levels the curvature jets rely on (x order <= 2, y order
+    <= 3), against exact differentiation of random polynomials."""
 
-        def field(x, y):
-            f = ball._norm_impl(x, y)
-            return f * f
+    def test_random_polynomials(self, rng):
+        def oracle(terms, orders, point):
+            total = 0.0
+            for c, ex in terms:
+                coef = c
+                for e, o in zip(ex, orders):
+                    if o > e:
+                        coef = 0.0
+                        break
+                    for j in range(o):
+                        coef *= (e - j)
+                if coef:
+                    total += coef * np.prod(
+                        [p ** (e - o) for p, e, o in zip(point, ex, orders)])
+            return total
 
-        req = DerivativeRequest(field, (1, 0), (0, 0), [0.5, 0.0], [1.0, 0.0])
-        assert partial(req, AUTO) == pytest.approx(FUNK_BALL_DF2_DX1, abs=1e-10)
-        assert partial(req, FD) == pytest.approx(FUNK_BALL_DF2_DX1, rel=1e-7)
-
-    def test_random_polynomials_both_modes(self, rng):
-        # oracle: exact differentiation of the monomial representation
-        for _ in range(25):
-            n_terms = rng.integers(2, 6)
+        checked = 0
+        for _ in range(100):
             terms = []
-            for _ in range(n_terms):
+            for _ in range(rng.integers(2, 6)):
                 ex = rng.integers(0, 4, size=4)
                 while ex.sum() > 6:
                     ex = rng.integers(0, 4, size=4)
                 terms.append((float(rng.uniform(-2, 2)), ex))
-            xo = [0, 0]
-            yo = [0, 0]
-            xo[rng.integers(0, 2)] = int(rng.integers(0, 3))
-            yo[rng.integers(0, 2)] = int(rng.integers(0, 4))
-            if sum(xo) + sum(yo) == 0 or sum(xo) + sum(yo) > 5:
+            xo = [int(o) for o in rng.integers(0, 3, size=2)]
+            yo = [int(o) for o in rng.integers(0, 4, size=2)]
+            if sum(xo) > 2 or sum(yo) > 3 or sum(xo) + sum(yo) == 0:
                 continue
 
             def field(x, y, terms=terms):
@@ -126,48 +136,27 @@ class TestPartial:
                                  * y[0] ** int(ex[2]) * y[1] ** int(ex[3]))
                 return acc
 
-            def oracle(terms, orders, point):
-                total = 0.0
-                for c, ex in terms:
-                    coef = c
-                    for e, o in zip(ex, orders):
-                        if o > e:
-                            coef = 0.0
-                            break
-                        for j in range(o):
-                            coef *= (e - j)
-                    if coef:
-                        total += coef * np.prod(
-                            [p ** (e - o) for p, e, o in zip(point, ex, orders)])
-                return total
-
             x0 = rng.uniform(0.2, 1.2, 2)
             y0 = rng.uniform(0.2, 1.2, 2)
-            expected = oracle(terms, list(xo) + list(yo),
-                              np.concatenate([x0, y0]))
-            req = DerivativeRequest(field, tuple(xo), tuple(yo), x0, y0)
-            scale = max(1.0, abs(expected))
-            assert abs(partial(req, AUTO) - expected) / scale < 1e-10
-            assert abs(partial(req, FD) - expected) / scale < 1e-7
+            expected = oracle(terms, xo + yo, np.concatenate([x0, y0]))
+            got = nested_partial(field, x0, y0, xo, yo)
+            assert abs(got - expected) / max(1.0, abs(expected)) < 1e-10
+            checked += 1
+        assert checked >= 30
 
-    def test_order_limits_rejected(self):
-        field = lambda x, y: x[0]
-        with pytest.raises(ValueError):
-            DerivativeRequest(field, (3, 0), (0, 0), [0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(ValueError):
-            DerivativeRequest(field, (0, 0), (4, 0), [0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(ValueError):
-            DerivativeRequest(field, (2, 0), (2, 2), [0.0, 0.0], [1.0, 0.0])
+    def test_mixed_partial_of_monomial(self):
+        # d/dx1 d^3/dy2^3 of x1 y2^3 is 6 everywhere
+        value = nested_partial(lambda x, y: x[0] * y[1] ** 3,
+                               [0.7, -0.2], [0.3, 0.5], [1, 0], [0, 3])
+        assert value == pytest.approx(6.0, abs=1e-12)
 
-    def test_engine_config_validation(self):
-        with pytest.raises(ValueError):
-            EngineConfig(mode="symbolic")
+    def test_funk_ball_golden_x_derivative(self, ball2):
+        def field(x, y):
+            f = ball2._norm_impl(x, y)
+            return f * f
 
-    def test_richardson_disagreement_raises(self):
-        field = lambda x, y: math.sin(4e5 * y[0]) * 1e-3
-        req = DerivativeRequest(field, (0, 0), (2, 0), [0.0, 0.0], [1.0, 1.0])
-        with pytest.raises(AccuracyError):
-            partial(req, FD)
+        value = nested_partial(field, [0.5, 0.0], [1.0, 0.0], [1, 0], [0, 0])
+        assert value == pytest.approx(FUNK_BALL_DF2_DX1, abs=1e-10)
 
 
 class TestCentralD1:
@@ -214,27 +203,35 @@ class TestFundamentalTensor:
             assert np.abs(g2 - g1).max() < 1e-8
 
     def test_numeric_matches_analytic_provider(self, ball2):
-        # engine route on the raw norm against the closed-form tensor
+        # jet route on the raw norm against the closed-form tensor
         x = np.array([0.3, -0.2])
         y = np.array([0.8, 0.5])
         analytic = fundamental_tensor(ball2, x, y)
-
-        class Stripped:
-            dimension = 2
-            supports_jets = True
-            bounded_domain = True
-
-            def check_line_element(self, xx, yy):
-                return np.asarray(xx, float), np.asarray(yy, float)
-
-            def metric_tensor(self, xx, yy):
-                return None
-
-            def _norm_impl(self, xx, yy):
-                return ball2._norm_impl(xx, yy)
-
-            def norm(self, xx, yy):
-                return ball2.norm(xx, yy)
-
-        numeric = fundamental_tensor(Stripped(), x, y)
+        numeric = fundamental_tensor(stripped(ball2, supports_jets=True), x, y)
         assert np.abs(numeric - analytic).max() < 1e-9
+
+    @pytest.mark.parametrize("make", [lambda: funk_ball(2), lambda: funk_ball(3),
+                                      lambda: klein_metric(3), lambda: EuclideanMetric(2)],
+                             ids=["funk-ball-2", "funk-ball-3", "klein-3", "euclidean-2"])
+    def test_stencil_route_matches_analytic(self, make, rng):
+        # central differences with Richardson extrapolation on a black-box
+        # norm, within the finite-difference tolerance
+        metric = make()
+        black_box = stripped(metric, supports_jets=False)
+        for x, y in metric.random_line_elements(10, rng):
+            analytic = fundamental_tensor(metric, x, y)
+            numeric = fundamental_tensor(black_box, x, y)
+            scale = max(1.0, float(np.abs(analytic).max()))
+            assert np.abs(numeric - analytic).max() / scale < 1e-7
+
+    def test_noisy_hessian_raises_accuracy_error(self):
+        # an energy with a tiny fast oscillation: the halved-step estimates
+        # cannot agree
+        def norm(x, y):
+            return math.sqrt(float(y @ y) + 2e-3 * math.sin(4e5 * y[0]))
+
+        noisy = SimpleNamespace(dimension=2, supports_jets=False,
+                                check_line_element=lambda x, y: (x, y),
+                                metric_tensor=lambda x, y: None, norm=norm)
+        with pytest.raises(AccuracyError):
+            fundamental_tensor(noisy, [0.0, 0.0], [1.0, 1.0])

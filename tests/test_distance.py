@@ -9,7 +9,7 @@ from scipy import integrate
 from finslerproj.distance import (Chain, ChainLink, IntervalPair,
                                   PseudoDistanceOptions, corollary_check, funk_distance_interval,
                                   positivity_probe, pseudo_distance_upper,
-                                  schwarz_ratio, _single_link_search)
+                                  schwarz_ratio)
 from finslerproj.errors import (ConstructionError, DomainError, HypothesisError,
                                 InadmissibleChartError)
 from finslerproj.metrics import interval_funk_eval
@@ -72,12 +72,10 @@ class TestChains:
 
     def test_two_link_concatenation_adds(self, klein2):
         opts = PseudoDistanceOptions()
-        first = _single_link_search(klein2, np.array([0.0, 0.0]),
-                                    np.array([0.3, 0.0]), opts)
-        second = _single_link_search(klein2, np.array([0.3, 0.0]),
-                                     np.array([0.5, 0.0]), opts)
-        links = [first["canonical_chain"].links[0],
-                 second["canonical_chain"].links[0]]
+        first = pseudo_distance_upper(klein2, [0.0, 0.0], [0.3, 0.0], opts)
+        second = pseudo_distance_upper(klein2, [0.3, 0.0], [0.5, 0.0], opts)
+        links = [first.canonical_chain.links[0],
+                 second.canonical_chain.links[0]]
         chain = Chain(links=links, waypoints=[np.array([0.0, 0.0]),
                                               np.array([0.3, 0.0]),
                                               np.array([0.5, 0.0])])
@@ -88,9 +86,8 @@ class TestChains:
         # one geodesic, one chart, interval waypoint between the endpoints:
         # the oriented interval triangle equality transfers to the chain
         opts = PseudoDistanceOptions()
-        single = _single_link_search(klein2, np.array([0.0, 0.0]),
-                                     np.array([0.5, 0.0]), opts)
-        link = single["canonical_chain"].links[0]
+        single = pseudo_distance_upper(klein2, [0.0, 0.0], [0.5, 0.0], opts)
+        link = single.canonical_chain.links[0]
         mid_u = 0.3
         mid_point = link.map_point(mid_u)
         first = ChainLink(geodesic=link.geodesic, parameter=link.parameter,
@@ -113,9 +110,8 @@ class TestChains:
 
     def test_link_endpoint_consistency(self, klein2):
         opts = PseudoDistanceOptions()
-        single = _single_link_search(klein2, np.array([0.0, 0.0]),
-                                     np.array([0.5, 0.0]), opts)
-        link = single["canonical_chain"].links[0]
+        single = pseudo_distance_upper(klein2, [0.0, 0.0], [0.5, 0.0], opts)
+        link = single.canonical_chain.links[0]
         assert np.abs(link.map_point(link.a) - [0.0, 0.0]).max() <= 1e-6
         assert np.abs(link.map_point(link.b) - [0.5, 0.0]).max() <= 1e-6
 
@@ -202,6 +198,14 @@ class TestPseudoDistance:
                                                         bvp_tolerance=1e-6))
         assert info.value.attainable_range is not None
 
+    def test_canonical_chain_kept_off_the_dict(self, klein2):
+        report = pseudo_distance_upper(klein2, [0.1, 0.2], [-0.3, 0.4])
+        assert report.canonical_chain.length == report.canonical_value
+        assert report.canonical_chain.links[0].stages[1:] == (0.0, False)
+        assert "canonical_chain" not in report.to_dict()
+        same = pseudo_distance_upper(klein2, [0.1, 0.2], [0.1, 0.2])
+        assert same.canonical_chain is same.chain
+
     def test_lower_bound_fields(self, klein2):
         report = pseudo_distance_upper(klein2, [0.0, 0.0], [0.5, 0.0],
                                        PseudoDistanceOptions(c=1.0))
@@ -217,10 +221,8 @@ class TestPseudoDistance:
 
 @pytest.fixture(scope="module")
 def klein_link(klein2):
-    single = _single_link_search(klein2, np.array([0.0, 0.0]),
-                                 np.array([0.5, 0.0]),
-                                 PseudoDistanceOptions())
-    return single["canonical_chain"].links[0]
+    single = pseudo_distance_upper(klein2, [0.0, 0.0], [0.5, 0.0], PseudoDistanceOptions())
+    return single.canonical_chain.links[0]
 
 
 class TestSchwarzRatio:
@@ -244,13 +246,16 @@ class TestSchwarzRatio:
         assert report.monotonicity == "no interior maximum"
 
     def test_euclid_hypothesis_refused(self, eucl2):
-        single = _single_link_search(eucl2, np.array([0.0, 0.0]),
-                                     np.array([0.5, 0.0]),
-                                     PseudoDistanceOptions())
+        single = pseudo_distance_upper(eucl2, [0.0, 0.0], [0.5, 0.0], PseudoDistanceOptions())
         with pytest.raises(HypothesisError) as info:
-            schwarz_ratio(eucl2, single["canonical_chain"].links[0],
+            schwarz_ratio(eucl2, single.canonical_chain.links[0],
                           [0.0, 0.5], c=1.0)
         assert info.value.report is not None
+
+    def test_degenerate_link_refused(self, klein2):
+        link = ChainLink.degenerate_link(np.array([0.1, 0.0]))
+        with pytest.raises(DomainError):
+            schwarz_ratio(klein2, link, [0.0, 0.5], c=1.0)
 
     def test_grid_validation(self, klein2, klein_link):
         with pytest.raises(DomainError):
@@ -261,10 +266,8 @@ class TestSchwarzRatio:
 
 class TestCorollary:
     def test_klein_both_constants(self, klein2):
-        single = _single_link_search(klein2, np.array([0.0, 0.0]),
-                                     np.array([0.5, 0.0]),
-                                     PseudoDistanceOptions())
-        report = corollary_check(klein2, single["canonical_chain"].links[0], c=1.0)
+        single = pseudo_distance_upper(klein2, [0.0, 0.0], [0.5, 0.0], PseudoDistanceOptions())
+        report = corollary_check(klein2, single.canonical_chain.links[0], c=1.0)
         assert report.lhs == pytest.approx(math.log(2.0), abs=1e-6)
         assert report.rhs == pytest.approx(2.0 * math.atanh(0.5), abs=1e-6)
         assert not report.passed

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finslerproj.diffengine import Jet
-from finslerproj.errors import ChartError, CriticalPointError, PoleError
+from finslerproj.errors import ChartError, CriticalPointError, DomainError, PoleError
 from finslerproj.geodesics import extend_geodesic
 from finslerproj.metrics import RiemannianMetric, RiemannianSpec
 from finslerproj.projective import (MobiusTransform, check_composition,
@@ -203,6 +203,12 @@ class TestProjectiveParameter:
         par = projective_parameter(klein2, seg)
         assert par.value(0.0) == pytest.approx(0.0, abs=1e-12)
         assert par.derivative(0.0) == pytest.approx(1.0, abs=1e-10)
+
+    def test_normalization_point_outside_segment(self, klein2):
+        seg = extend_geodesic(klein2, [0.1, 0.1], [0.5, -0.2], cap=1.0)
+        for s0 in (seg.s_max + 0.5, math.nan):
+            with pytest.raises(DomainError):
+                projective_parameter(klein2, seg, s0=s0)
 
     def test_schwarzian_recovers_q(self, klein2):
         seg = extend_geodesic(klein2, [0.0, 0.0], [1.0, 0.0])
