@@ -10,8 +10,8 @@ from .core import (FinslerMetric, Point, TangentVector, ValidationReport,
                    arc_length, validate_homogeneity, validate_strong_convexity)
 from .curvature import (CurvatureData, ProjectiveFactor, RicciBoundReport,
                         check_ricci_bound, curvature_matrix, projective_factor,
-                        ricci_scalar, ricci_tensor, verify_ric_transformation,
-                        weighted_ricci)
+                        ricci_scalar, ricci_scalar_batch, ricci_tensor,
+                        verify_ric_transformation, weighted_ricci)
 from .diffengine import Jet, fundamental_tensor
 from .distance import (Chain, ChainLink, CorollaryReport, IntervalPair,
                        PositivityReport, PseudoDistanceOptions,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import distance as dist
 from .core import validate_homogeneity, validate_strong_convexity
-from .curvature import check_ricci_bound, ricci_scalar, ricci_tensor
+from .curvature import check_ricci_bound, ricci_scalar_batch, ricci_tensor
 from .errors import ConfigError, FinslerError
 from .geodesics import connect, extend_geodesic, integrate_geodesic
 from .metrics import (EuclideanMetric, IntervalFunkMetric, QuadraticDomainSpec,
@@ -181,9 +181,11 @@ def cmd_curvature(args, out):
             "ricci_tensor": data.ric_tensor.tolist(),
             "contraction_residual": data.contraction_residual}
     samples = metric.random_line_elements(args.samples, rng)
+    shown = samples[: min(len(samples), 8)]
+    rics = ricci_scalar_batch(metric, [x for x, _ in shown], [y for _, y in shown])
     payload["ricci_scalar_samples"] = [
-        {"x": x.tolist(), "y": y.tolist(), "ric": ricci_scalar(metric, x, y)}
-        for x, y in samples[: min(len(samples), 8)]]
+        {"x": x.tolist(), "y": y.tolist(), "ric": ric}
+        for (x, y), ric in zip(shown, rics.tolist())]
     if args.check_bound:
         if args.c is None:
             raise ConfigError("--check-bound needs --c")
@@ -362,6 +364,13 @@ def _sample_count(text):
     return count
 
 
+def _grid_size(text):
+    count = int(text)
+    if count < 2:  # a table needs both ends of its range
+        raise argparse.ArgumentTypeError(f"needs a grid of at least 2 points, got {count}")
+    return count
+
+
 def build_parser():
     parser = _Parser(prog="finslerproj",
                      description="projective invariants of Finsler metrics")
@@ -404,7 +413,7 @@ def build_parser():
     _point_arg(p, "--x0")
     p.add_argument("--y0", type=float, nargs="+", required=True)
     p.add_argument("--cap", type=float, default=20.0)
-    p.add_argument("--grid", type=int, default=201)
+    p.add_argument("--grid", type=_grid_size, default=201)
     p.add_argument("--csv")
     p.add_argument("--json")
     p.add_argument("--seed", type=int, default=0)
@@ -432,7 +441,7 @@ def build_parser():
     p.add_argument("--check-schwarz", action="store_true")
     p.add_argument("--check-corollary", action="store_true")
     p.add_argument("--grid-extent", type=float, default=0.9)
-    p.add_argument("--grid", type=int, default=13)
+    p.add_argument("--grid", type=_grid_size, default=13)
     p.add_argument("--csv", help="write the h(u) table next to --check-schwarz")
     p.add_argument("--json")
     p.add_argument("--seed", type=int, default=0)

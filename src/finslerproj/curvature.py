@@ -7,8 +7,11 @@ The Ricci scalar is built from the spray coefficients:
                 - y^j (G^i)_{y^i x^j} + G^j (G^i)_{y^i y^j}
 
 so it is 0-homogeneous in y and equals (n-1) times the flag curvature on
-constant-curvature metrics. The Ricci tensor is the y-Hessian of F^2 Ric / 2,
-which keeps the contraction identity Ric_ik l^i l^k = Ric automatic.
+constant-curvature metrics. A jet-capable spray is differentiated by Taylor
+jets whose coefficients are (N,) arrays, so a whole stack of line elements
+costs one pass (`ricci_scalar_batch`); a black-box spray by stencils, one
+element at a time. The Ricci tensor is the y-Hessian of F^2 Ric / 2, which
+keeps the contraction identity Ric_ik l^i l^k = Ric automatic.
 """
 
 from __future__ import annotations
@@ -51,12 +54,15 @@ def _x_steps(metric, x):
     return hx, Hx
 
 
-def _ricci_scalar_jets(metric, x, y):
-    """Exact spray derivatives by nested Taylor jets; no stencil room needed."""
+def _ricci_scalar_jets(metric, X, Y, f2):
+    """Exact spray derivatives by nested Taylor jets over (N,) coefficient
+    arrays, all N line elements of the (N, n) stacks X, Y in one pass; no
+    stencil room needed. f2 holds F^2 of each element."""
     n = metric.dimension
+    N = len(X)
     impl = metric._spray_impl
-    xs = list(map(float, x))
-    ys = list(map(float, y))
+    xs = list(np.ascontiguousarray(X.T))
+    ys = list(np.ascontiguousarray(Y.T))
 
     def d_dx(j):
         xj = xs.copy()
@@ -68,9 +74,14 @@ def _ricci_scalar_jets(metric, x, y):
         yj[j] = Jet.variable(ys[j], 1)
         return [extract_coefficient(gi, 1, 1) for gi in impl(xs, yj)]
 
+    # a spray part that does not depend on the variable comes back as a
+    # Python 0.0; the slice assignments below broadcast it to (N,)
     tr_gx = sum(d_dx(i)[i] for i in range(n))
-    gy = np.array([d_dy(j) for j in range(n)]).T  # gy[i, j] = dG^i/dy^j
-    sx = np.empty(n)
+    gy = np.empty((N, n, n))  # gy[:, i, j] = dG^i/dy^j
+    for j in range(n):
+        for i, gij in enumerate(d_dy(j)):
+            gy[:, i, j] = gij
+    sx = np.empty((N, n))
     for j in range(n):
         xj = xs.copy()
         xj[j] = Jet.variable(xs[j], 1, level=2)
@@ -80,8 +91,8 @@ def _ricci_scalar_jets(metric, x, y):
             yi[i] = Jet.variable(ys[i], 1, level=1)
             gi = impl(xj, yi)[i]
             acc += extract_coefficient(extract_coefficient(gi, 2, 1), 1, 1)
-        sx[j] = acc
-    sy = np.empty(n)
+        sx[:, j] = acc
+    sy = np.empty((N, n))
     for j in range(n):
         acc = 0.0
         for i in range(n):
@@ -95,18 +106,20 @@ def _ricci_scalar_jets(metric, x, y):
                 yi[i] = Jet.variable(ys[i], 1, level=1)
                 gi = impl(xs, yi)[i]
                 acc += extract_coefficient(extract_coefficient(gi, 2, 1), 1, 1)
-        sy[j] = acc
-    g0 = np.array([float(v) for v in impl(xs, ys)])
-    f2 = metric.norm(x, y) ** 2
-    rhs = 2.0 * tr_gx - 0.5 * float(np.trace(gy @ gy)) - float(y @ sx) + float(g0 @ sy)
+        sy[:, j] = acc
+    g0 = np.empty((N, n))
+    for i, gi in enumerate(impl(xs, ys)):
+        g0[:, i] = gi
+    # stacked matmuls rather than elementwise sums: each element's products
+    # then sum exactly as the 2-D trace and dot products of one element do
+    rhs = (2.0 * tr_gx - 0.5 * np.trace(gy @ gy, axis1=1, axis2=2)
+           - (Y[:, None, :] @ sx[:, :, None])[:, 0, 0]
+           + (g0[:, None, :] @ sy[:, :, None])[:, 0, 0])
     return rhs / (2.0 * f2)
 
 
-def ricci_scalar(metric, x, y) -> float:
-    """Ricci scalar at the line element (x, y); 0-homogeneous in y."""
-    x, y = metric.check_line_element(as_coords(x), as_components(y))
-    if metric.spray_supports_jets:
-        return _ricci_scalar_jets(metric, x, y)
+def _ricci_scalar_stencil(metric, x, y, f2):
+    """Ricci scalar of a black-box spray by nested central differences."""
     n = metric.dimension
     G = lambda xx, yy: spray_vector(metric, xx, yy)
     hx, Hx = _x_steps(metric, x)
@@ -124,9 +137,38 @@ def ricci_scalar(metric, x, y) -> float:
     Sy = np.array([central_d1(lambda yy: S(x, yy), y, j, Hy) for j in range(n)])
 
     G0 = G(x, y)
-    F2 = metric.norm(x, y) ** 2
     rhs = 2.0 * np.trace(Gx) - 0.5 * float(np.trace(Gy @ Gy)) - float(y @ Sx) + float(G0 @ Sy)
-    return rhs / (2.0 * F2)
+    return rhs / (2.0 * f2)
+
+
+def _ricci_and_energy(metric, X, Y):
+    """(Ric, F^2) of the line elements stacked in X, Y, as (N,) arrays.
+
+    Every element is validated by its own norm evaluation, which also gives
+    its F^2; a jet-capable spray then answers for the whole stack in one
+    pass, a black-box spray element by element.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.ndim != 2 or X.shape != Y.shape:
+        raise DomainError(f"{metric.name}: line elements must come as two (N, n) "
+                          f"stacks of one shape, got {X.shape} and {Y.shape}")
+    f2 = np.array([metric.norm(x, y) ** 2 for x, y in zip(X, Y)])
+    if metric.spray_supports_jets:
+        return _ricci_scalar_jets(metric, X, Y, f2), f2
+    ric = [_ricci_scalar_stencil(metric, x, y, e) for x, y, e in zip(X, Y, f2)]
+    return np.array(ric, dtype=float), f2
+
+
+def ricci_scalar_batch(metric, X, Y) -> np.ndarray:
+    """Ricci scalars of N line elements given as (N, n) stacks of points X
+    and vectors Y; element k equals ricci_scalar(metric, X[k], Y[k])."""
+    return _ricci_and_energy(metric, X, Y)[0]
+
+
+def ricci_scalar(metric, x, y) -> float:
+    """Ricci scalar at the line element (x, y); 0-homogeneous in y."""
+    return float(ricci_scalar_batch(metric, [as_coords(x)], [as_components(y)])[0])
 
 
 def weighted_ricci(metric, x, y) -> float:
@@ -152,24 +194,40 @@ class CurvatureData:
         return abs(float(self.ell @ self.ric_tensor @ self.ell) - self.ric)
 
 
+def _tensor_offsets(n):
+    """Integer offsets, in steps of h, at which ricci_tensor samples the
+    weighted Ricci field: the centre, +-1 and +-2 along each axis, and the
+    four diagonal corners at scales 1 and 2 of each coordinate plane."""
+    offsets = [(0,) * n]
+    for i in range(n):
+        for k in (1, -1, 2, -2):
+            offsets.append(tuple(k if m == i else 0 for m in range(n)))
+        for j in range(i + 1, n):
+            for k in (1, 2):
+                for a, b in ((k, k), (-k, -k), (k, -k), (-k, k)):
+                    offsets.append(tuple(a if m == i else (b if m == j else 0)
+                                         for m in range(n)))
+    return offsets
+
+
 def ricci_tensor(metric, x, y, step=0.05, contraction_limit=1e-3) -> CurvatureData:
     """Akbar-Zadeh Ricci tensor, the y-Hessian of F^2 Ric / 2.
 
-    A cached weighted-Ricci field is differenced in y with O(h^4) stencils.
+    The weighted-Ricci field F^2 Ric, evaluated at all stencil offsets in
+    one batch, is differenced in y with O(h^4) stencils.
     The contraction identity is enforced a posteriori; a residual above
     contraction_limit raises AccuracyError.
     """
     x, y = metric.check_line_element(as_coords(x), as_components(y))
     n = metric.dimension
     h = step * _yscale(y)
-    cache = {}
+    offsets = _tensor_offsets(n)
+    yy = y + h * np.array(offsets, dtype=float)
+    ric, f2 = _ricci_and_energy(metric, np.broadcast_to(x, yy.shape), yy)
+    weighted = dict(zip(offsets, (f2 * ric).tolist()))
 
     def r(offset):
-        key = tuple(offset)
-        if key not in cache:
-            yy = y + h * np.asarray(offset, dtype=float)
-            cache[key] = weighted_ricci(metric, x, yy)
-        return cache[key]
+        return weighted[tuple(offset)]
 
     zero = [0] * n
     hess = np.empty((n, n))

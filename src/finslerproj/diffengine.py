@@ -3,7 +3,11 @@ F^2/2 and a first-derivative stencil.
 
 `Jet` is a truncated Taylor series whose coefficients may be jets of a
 lower nesting level, so arithmetic on plain expressions carries exact mixed
-partials up to roundoff; the curvature module nests it directly.
+partials up to roundoff; the curvature module nests it directly. The
+innermost coefficients are floats or (N,) numpy arrays: an array carries N
+independent expansions through one pass of the same arithmetic, elementwise
+and in the same order as N scalar passes, and `jet_where` selects between two
+jets per element where a closed form branches.
 
 `fundamental_tensor` is the one Hessian the geometry is built from,
 g_ij = (F^2/2)_{y^i y^j}. An analytic provider on the metric answers first;
@@ -36,7 +40,9 @@ class Jet:
     ``coef[k]`` holds the k-th Taylor coefficient f^(k)/k!. Coefficients may
     themselves be jets of a lower nesting level; that is how mixed partials
     propagate. Arithmetic between different levels treats the lower level as
-    a scalar coefficient, so independent variables never convolve.
+    a scalar coefficient, so independent variables never convolve. At the
+    innermost level a coefficient is a float or an (N,) array, the batch of
+    N expansions evaluated together.
     """
 
     __slots__ = ("coef", "level")
@@ -227,24 +233,42 @@ def _at(coef, k):
 
 
 def _is_zero(v):
-    return not isinstance(v, Jet) and v == 0.0
+    # only a scalar zero is skipped; an array coefficient is always multiplied
+    return isinstance(v, float) and v == 0.0
 
 
 def _lift(name, v):
     if isinstance(v, Jet):
         return getattr(v, name)()
+    if isinstance(v, np.ndarray):
+        return getattr(np, name)(v)
     return getattr(math, name)(v)
 
 
 def jet_value(v):
-    """Primal (zeroth order) value underneath any jet nesting."""
+    """Primal (zeroth order) value underneath any jet nesting: a number, or
+    the (N,) array of a batch."""
     while isinstance(v, Jet):
         v = v.coef[0]
-    return float(v)
+    return v
 
 
 def smooth_sqrt(v):
-    return v.sqrt() if isinstance(v, Jet) else math.sqrt(v)
+    if isinstance(v, float):
+        return math.sqrt(v)
+    return v.sqrt() if isinstance(v, Jet) else np.sqrt(v)
+
+
+def jet_where(cond, a, b):
+    """Per-element select between two jets of a batch: `a` where the boolean
+    (N,) array `cond` holds, `b` elsewhere, coefficient by coefficient."""
+    if isinstance(a, Jet) or isinstance(b, Jet):
+        level = max(v.level for v in (a, b) if isinstance(v, Jet))
+        ca = a.coef if isinstance(a, Jet) and a.level == level else [a]
+        cb = b.coef if isinstance(b, Jet) and b.level == level else [b]
+        return Jet([jet_where(cond, _at(ca, k), _at(cb, k))
+                    for k in range(max(len(ca), len(cb)))], level)
+    return np.where(cond, a, b)
 
 
 def extract_coefficient(value, level, order):

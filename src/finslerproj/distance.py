@@ -561,7 +561,7 @@ def schwarz_ratio(metric, link: ChainLink, grid, c) -> SchwarzReport:
         raise DomainError("the Schwarz ratio needs a link along a geodesic, not a point")
     _require_ricci_bound(metric, link, c)
     grid = np.asarray(sorted(float(u) for u in grid))
-    if grid.size == 0 or abs(grid).max() >= 1.0:
+    if grid.size == 0 or not np.all(np.abs(grid) < 1.0):  # NaN fails too
         raise DomainError("the grid must sit inside (-1, 1)")
     n = metric.dimension
     hs = []

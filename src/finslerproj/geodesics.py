@@ -297,6 +297,8 @@ def connect(metric, x, y, tol=1e-8, max_nfev=60) -> BVPResult:
     A chord shot that already hits within tol is returned without a solve,
     and the result segment is the closest shot clipped at its hit.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"connect needs a finite positive miss tolerance, got {tol}")
     x = metric.check_point(as_coords(x))
     y = metric.check_point(as_coords(y))
     if np.array_equal(x, y):

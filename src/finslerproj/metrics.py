@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .core import FinslerMetric, validate_strong_convexity
-from .diffengine import jet_value, smooth_sqrt
+from .diffengine import jet_value, jet_where, smooth_sqrt
 from .errors import ConstructionError, ConvexityError, DomainError
 
 
@@ -241,16 +241,22 @@ def _funk_theta(alpha, beta, gamma, x, y):
     Theta = (sqrt(wy^2 - (y alpha y) phi) - wy) / phi with w = alpha x + beta.
     For wy > 0 the difference of nearly equal square roots is rationalized to
     -(y alpha y) / (sqrt + wy), which stays accurate down to the boundary.
+    Entries that are (N,) arrays, or jets over them, evaluate N line elements
+    at once, each element taking its own branch.
     """
     p = _dot(x, _mat_vec(alpha, x)) + 2.0 * _dot(beta, x) + gamma
     w = [wi + bi for wi, bi in zip(_mat_vec(alpha, x), beta)]
     wy = _dot(w, y)
     ayy = _dot(y, _mat_vec(alpha, y))
     radicand = wy * wy - ayy * p
-    if jet_value(radicand) < 0.0:
+    r0 = jet_value(radicand)
+    batch = isinstance(r0, np.ndarray)
+    if np.any(r0 < 0.0) if batch else r0 < 0.0:
         raise ConvexityError("a_ij y y < 0; the quadratic domain is not strictly convex "
                              "at this line element")
     root = smooth_sqrt(radicand)
+    if batch:
+        return jet_where(jet_value(wy) >= 0.0, -ayy / (root + wy), (root - wy) / p)
     if jet_value(wy) >= 0.0:
         return -ayy / (root + wy)
     return (root - wy) / p

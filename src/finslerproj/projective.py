@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, interpolate, optimize
 
-from .curvature import ricci_scalar
+from .curvature import ricci_scalar_batch
 from .diffengine import Jet
 from .errors import ChartError, CriticalPointError, DomainError, PoleError
 from .geodesics import GeodesicSegment
@@ -376,10 +376,8 @@ def projective_parameter(metric, segment: GeodesicSegment, *, s0=0.0,
     q_lo, q_hi = _q_window(metric, segment)
     count = max(9, int(math.ceil((q_hi - q_lo) / q_step)) + 1)
     s_grid = np.linspace(q_lo, q_hi, count)
-    q_values = np.array([
-        2.0 / (n - 1) * ricci_scalar(metric, segment.position(s), segment.velocity(s))
-        for s in s_grid
-    ])
+    states = np.array([segment.state(s) for s in s_grid])
+    q_values = 2.0 / (n - 1) * ricci_scalar_batch(metric, states[:, :n], states[:, n:])
     k = min(5, count - 1)
     q_spline = interpolate.make_interp_spline(s_grid, q_values, k=k)
 

@@ -16,7 +16,7 @@ from scipy import integrate
 
 from . import distance as dist
 from .core import validate_homogeneity, validate_strong_convexity
-from .curvature import ricci_scalar, ricci_tensor, verify_ric_transformation
+from .curvature import ricci_scalar_batch, ricci_tensor, verify_ric_transformation
 from .diffengine import Jet, fundamental_tensor
 from .errors import HypothesisError
 from .geodesics import extend_geodesic, finsler_distance, integrate_geodesic
@@ -240,7 +240,8 @@ def criterion_curvature():
             worst_contraction = max(worst_contraction, data.contraction_residual)
         details[f"klein_n{n}_einstein_max"] = worst_einstein
     ball = funk_ball(2)
-    rics = [ricci_scalar(ball, x, y) for x, y in ball.random_line_elements(50, rng)]
+    elements = ball.random_line_elements(50, rng)
+    rics = ricci_scalar_batch(ball, [x for x, _ in elements], [y for _, y in elements]).tolist()
     spread = max(rics) - min(rics)
     golden_err = abs(np.mean(rics) - FUNK_BALL_RICCI_GOLDEN)
     for x, y in ball.random_line_elements(10, rng):

@@ -162,6 +162,37 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: DomainError:") and "\n" not in err.strip()
 
+    @pytest.mark.parametrize("argv", [
+        ["projparam", "--metric", "klein", "--x0", "0", "0", "--y0", "1", "0",
+         "--grid", "-3"],
+        ["projparam", "--metric", "klein", "--x0", "0", "0", "--y0", "1", "0",
+         "--grid", "0"],
+        ["projparam", "--metric", "klein", "--x0", "0", "0", "--y0", "1", "0",
+         "--grid", "1"],
+        ["pseudodist", "--metric", "klein", "--x0", "0", "0", "--x1", "0.3", "0",
+         "--check-schwarz", "--c", "1", "--grid", "-3"],
+    ])
+    def test_grid_below_two(self, argv, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        code, text = run_args(argv + ["--csv", str(path)], capture=True)
+        assert code == 1 and text == "" and not path.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "\n" not in err.strip()
+
+    @pytest.mark.parametrize("argv", [
+        ["pseudodist", "--metric", "klein", "--x0", "0", "0", "--x1", "0.3", "0",
+         "--budget", "4", "--check-schwarz", "--c", "1", "--grid-extent", "nan"],
+        ["geodesic", "--metric", "klein", "--x0", "0", "0", "--x1", "0.3", "0",
+         "--connect", "--tol", "-1"],
+        ["geodesic", "--metric", "klein", "--x0", "0", "0", "--x1", "0.3", "0",
+         "--connect", "--tol", "nan"],
+    ])
+    def test_nan_schwarz_grid_or_bad_connect_tol(self, argv, capsys):
+        code, text = run_args(argv, capture=True)
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError:") and "\n" not in err.strip()
+
     def test_missing_flags(self):
         code, _ = run_args(["funk"], capture=True)
         assert code == 1

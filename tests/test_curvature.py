@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from finslerproj.curvature import (check_ricci_bound, curvature_matrix,
-                                   projective_factor, ricci_scalar, ricci_tensor,
+                                   projective_factor, ricci_scalar,
+                                   ricci_scalar_batch, ricci_tensor,
                                    verify_ric_transformation)
 from finslerproj.diffengine import fundamental_tensor
-from finslerproj.errors import ConstructionError, NotProjectiveError
-from finslerproj.metrics import RandersSpec, randers_metric
+from finslerproj.errors import (ConstructionError, ConvexityError, DomainError,
+                                FinslerError, NotProjectiveError)
+from finslerproj.metrics import (EuclideanMetric, QuadraticDomainSpec, RandersSpec,
+                                 funk_ball, funk_from_quadratic, klein_metric,
+                                 randers_metric)
 
 
 def riemann_ricci_oracle(g_fn, x, h=1e-4):
@@ -84,6 +88,99 @@ class TestRicciScalar:
         x, y = [0.3, -0.2], [0.7, 0.4]
         assert ricci_scalar(stripped, x, y) == pytest.approx(
             ricci_scalar(klein2, x, y), abs=1e-6)
+
+
+def anisotropic_ellipsoid(n, seed):
+    """Seeded Funk ellipsoid: rotated semi-axes in [0.6, 1.4], centre offset."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    alpha = -(q @ np.diag(rng.uniform(0.6, 1.4, n) ** -2) @ q.T)
+    alpha = 0.5 * (alpha + alpha.T)
+    centre = rng.uniform(-0.15, 0.15, n)
+    return funk_from_quadratic(QuadraticDomainSpec(
+        alpha=alpha, beta=-alpha @ centre, gamma=1.0 + centre @ alpha @ centre, k=1.3))
+
+
+BATCH_METRICS = {
+    "klein2": lambda: klein_metric(2),
+    "klein3": lambda: klein_metric(3),
+    "klein5": lambda: klein_metric(5),
+    "funk_ball2": lambda: funk_ball(2),
+    "funk_ball3": lambda: funk_ball(3),
+    "funk_ellipsoid3": lambda: anisotropic_ellipsoid(3, 4),
+    "randers_const2": lambda: randers_metric(
+        RandersSpec(2, np.array([[1.2, 0.1], [0.1, 0.9]]), np.array([0.2, -0.1]))),
+    "euclidean2": lambda: EuclideanMetric(2),
+}
+
+
+class TestRicciScalarBatch:
+    """One jet pass over (N,) coefficient arrays reproduces N scalar passes
+    bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_METRICS))
+    def test_batch_equals_batches_of_one(self, name):
+        metric = BATCH_METRICS[name]()
+        elements = metric.random_line_elements(24, np.random.default_rng(31))
+        X = np.array([x for x, _ in elements])
+        Y = np.array([y for _, y in elements])
+        batch = ricci_scalar_batch(metric, X, Y)
+        assert batch.shape == (24,)
+        singles = [ricci_scalar_batch(metric, x[None], y[None])[0] for x, y in zip(X, Y)]
+        assert [v.hex() for v in batch.tolist()] == [float(v).hex() for v in singles]
+        assert [ricci_scalar(metric, x, y) for x, y in zip(X, Y)] == batch.tolist()
+
+    def test_ellipsoid_batch_takes_both_funk_branches(self):
+        metric = anisotropic_ellipsoid(3, 4)
+        elements = metric.random_line_elements(24, np.random.default_rng(31))
+        wy = [float((metric.spec.alpha @ x + metric.spec.beta) @ y) for x, y in elements]
+        assert min(wy) < 0.0 < max(wy)
+
+    @pytest.mark.parametrize("metric, x, y, pinned", [
+        (klein_metric(3), [0.1, -0.2, 0.3], [0.4, 0.5, -0.6], "-0x1.0000000000001p+1"),
+        (funk_ball(2), [0.3, -0.1], [1.0, 0.7], "-0x1.0000000000006p-2"),
+        (funk_from_quadratic(QuadraticDomainSpec(
+            alpha=np.array([[-1.5, 0.3], [0.3, -0.8]]), beta=np.array([0.1, -0.05]),
+            gamma=1.0, k=1.3)), [0.2, 0.1], [-0.4, 0.9], "-0x1.b0a3d70a3d6fdp-2"),
+    ])
+    def test_values_pinned_to_the_scalar_jet_route(self, metric, x, y, pinned):
+        # bit patterns of the element-by-element jet implementation this
+        # batch replaced
+        assert ricci_scalar(metric, x, y).hex() == pinned
+
+    def test_empty_batch(self):
+        assert ricci_scalar_batch(klein_metric(2), np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("klein", ([1.2, 0.0], [1.0, 0.0])),       # outside the ball
+        ("klein", ([0.1, 0.0], [0.0, 0.0])),       # zero vector
+        ("klein", ([0.1, 0.0], [np.nan, 1.0])),    # non-finite vector
+        ("saddle", ([0.0, 0.0], [1.0, 0.0])),      # a_ij y y < 0
+    ])
+    def test_invalid_element_raises_like_its_scalar_call(self, name, bad):
+        if name == "klein":
+            metric = klein_metric(2)
+        else:
+            with pytest.warns(UserWarning):
+                metric = funk_from_quadratic(QuadraticDomainSpec(
+                    alpha=np.diag([0.5, -1.0]), beta=np.zeros(2), gamma=1.0))
+        X = np.array([[0.1, 0.1], [0.0, 0.0], bad[0]])
+        Y = np.array([[0.1, 1.0], [0.0, 1.0], bad[1]])
+        with pytest.raises(FinslerError) as scalar:
+            ricci_scalar(metric, *bad)
+        assert type(scalar.value) in (DomainError, ConvexityError)
+        with pytest.raises(FinslerError) as batch:
+            ricci_scalar_batch(metric, X, Y)
+        assert type(batch.value) is type(scalar.value)
+
+    @pytest.mark.parametrize("X, Y", [
+        (np.zeros((2, 2)), np.ones((3, 2))),     # stacks of different length
+        (np.zeros((2, 3)), np.ones((2, 3))),     # wrong dimension
+        (np.zeros(2), np.ones(2)),               # a single element, not a stack
+    ])
+    def test_malformed_stacks_rejected(self, X, Y):
+        with pytest.raises(DomainError):
+            ricci_scalar_batch(klein_metric(2), X, Y)
 
 
 class TestRicciTensor:

@@ -195,6 +195,13 @@ class TestConnect:
     def test_identity_distance_zero(self, klein2):
         assert finsler_distance(klein2, [0.2, 0.1], [0.2, 0.1]) == 0.0
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_connect_rejects_bad_tolerance(self, klein2, tol, monkeypatch):
+        # rejected up front: no shot is integrated
+        monkeypatch.setattr(geodesics, "integrate_geodesic", None)
+        with pytest.raises(DomainError):
+            connect(klein2, [0.0, 0.0], [0.3, 0.1], tol=tol)
+
     def test_connect_rejects_equal_points(self, klein2):
         with pytest.raises(ConnectivityError):
             connect(klein2, [0.2, 0.1], [0.2, 0.1])
