@@ -74,6 +74,9 @@ class FinslerMetric:
     supports_jets: bool = True
     spray_supports_jets: bool = False
     name: str = "finsler"
+    # True only where `_norm_impl` is the library's own arithmetic, which
+    # also takes (N,) arrays of entries; user providers are promised floats
+    _norm_takes_columns: bool = False
 
     # -- evaluation ------------------------------------------------------
 
@@ -81,6 +84,23 @@ class FinslerMetric:
         """F(x, y), validated: x inside the domain, y nonzero."""
         x, y = self.check_line_element(x, y)
         return float(self._norm_impl(x, y))
+
+    def norm_batch(self, X, Y) -> np.ndarray:
+        """F at N line elements given as (N, n) stacks X, Y; element k equals
+        norm(X[k], Y[k]). Every element is validated in order; a shipped
+        `_norm_impl` then runs once on the coordinate columns, any other is
+        evaluated element by element."""
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        if X.ndim != 2 or X.shape != Y.shape:
+            raise DomainError(f"{self.name}: line elements must come as two (N, n) "
+                              f"stacks of one shape, got {X.shape} and {Y.shape}")
+        if not self._norm_takes_columns:
+            return np.array([self.norm(x, y) for x, y in zip(X, Y)], dtype=float)
+        for x, y in zip(X, Y):
+            self.check_line_element(x, y)
+        values = self._norm_impl(list(X.T), list(Y.T))
+        return np.broadcast_to(np.asarray(values, dtype=float), (len(X),)).copy()
 
     def __call__(self, x, y) -> float:
         return self.norm(x, y)

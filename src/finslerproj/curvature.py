@@ -10,8 +10,14 @@ so it is 0-homogeneous in y and equals (n-1) times the flag curvature on
 constant-curvature metrics. A jet-capable spray is differentiated by Taylor
 jets whose coefficients are (N,) arrays, so a whole stack of line elements
 costs one pass (`ricci_scalar_batch`); a black-box spray by stencils, one
-element at a time. The Ricci tensor is the y-Hessian of F^2 Ric / 2, which
-keeps the contraction identity Ric_ik l^i l^k = Ric automatic.
+element at a time. For a Riemannian tensor without Christoffels the spray's
+x-data (the tensor and its x-derivatives) does not depend on y, so one batch
+computes it once per stencil point x and reuses it for every y there.
+
+The Ricci tensor is the y-Hessian of F^2 Ric / 2, which keeps the
+contraction identity Ric_ik l^i l^k = Ric automatic. `check_ricci_bound`
+validates all its samples, evaluates F^2 Ric over every sample's offset
+cloud in one batch, then assembles the samples in order.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .core import as_components, as_coords, boundary_room
 from .diffengine import Jet, central_d1, extract_coefficient, fundamental_tensor
 from .errors import (AccuracyError, ConstructionError, DomainError,
                      NotProjectiveError)
-from .geodesics import spray_vector
+from .geodesics import spray_function, spray_vector
 
 
 # ======================================================================
@@ -118,10 +124,9 @@ def _ricci_scalar_jets(metric, X, Y, f2):
     return rhs / (2.0 * f2)
 
 
-def _ricci_scalar_stencil(metric, x, y, f2):
-    """Ricci scalar of a black-box spray by nested central differences."""
+def _ricci_scalar_stencil(metric, G, x, y, f2):
+    """Ricci scalar of the black-box spray G by nested central differences."""
     n = metric.dimension
-    G = lambda xx, yy: spray_vector(metric, xx, yy)
     hx, Hx = _x_steps(metric, x)
     hy = 1e-5 * _yscale(y)
 
@@ -144,19 +149,18 @@ def _ricci_scalar_stencil(metric, x, y, f2):
 def _ricci_and_energy(metric, X, Y):
     """(Ric, F^2) of the line elements stacked in X, Y, as (N,) arrays.
 
-    Every element is validated by its own norm evaluation, which also gives
-    its F^2; a jet-capable spray then answers for the whole stack in one
-    pass, a black-box spray element by element.
+    Every element is validated by `norm_batch`, which also gives its F^2;
+    a jet-capable spray then answers for the whole stack in one pass, a
+    black-box spray element by element through one spray function.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or X.shape != Y.shape:
-        raise DomainError(f"{metric.name}: line elements must come as two (N, n) "
-                          f"stacks of one shape, got {X.shape} and {Y.shape}")
-    f2 = np.array([metric.norm(x, y) ** 2 for x, y in zip(X, Y)])
+    # squared one by one as Python floats, so F^2 has the bits of norm() ** 2
+    f2 = np.array([f ** 2 for f in metric.norm_batch(X, Y).tolist()], dtype=float)
     if metric.spray_supports_jets:
         return _ricci_scalar_jets(metric, X, Y, f2), f2
-    ric = [_ricci_scalar_stencil(metric, x, y, e) for x, y, e in zip(X, Y, f2)]
+    G = spray_function(metric)
+    ric = [_ricci_scalar_stencil(metric, G, x, y, e) for x, y, e in zip(X, Y, f2)]
     return np.array(ric, dtype=float), f2
 
 
@@ -194,6 +198,11 @@ class CurvatureData:
         return abs(float(self.ell @ self.ric_tensor @ self.ell) - self.ric)
 
 
+# ricci_tensor's y-step, relative to max|y|, and its contraction-residual limit
+TENSOR_STEP = 0.05
+CONTRACTION_LIMIT = 1e-3
+
+
 def _tensor_offsets(n):
     """Integer offsets, in steps of h, at which ricci_tensor samples the
     weighted Ricci field: the centre, +-1 and +-2 along each axis, and the
@@ -210,21 +219,20 @@ def _tensor_offsets(n):
     return offsets
 
 
-def ricci_tensor(metric, x, y, step=0.05, contraction_limit=1e-3) -> CurvatureData:
-    """Akbar-Zadeh Ricci tensor, the y-Hessian of F^2 Ric / 2.
-
-    The weighted-Ricci field F^2 Ric, evaluated at all stencil offsets in
-    one batch, is differenced in y with O(h^4) stencils.
-    The contraction identity is enforced a posteriori; a residual above
-    contraction_limit raises AccuracyError.
-    """
+def _tensor_cloud(metric, x, y, step):
+    """The validated (x, y), the y-step h and the offset cloud y + h o over
+    the offsets o of _tensor_offsets, where ricci_tensor samples F^2 Ric."""
     x, y = metric.check_line_element(as_coords(x), as_components(y))
-    n = metric.dimension
     h = step * _yscale(y)
-    offsets = _tensor_offsets(n)
-    yy = y + h * np.array(offsets, dtype=float)
-    ric, f2 = _ricci_and_energy(metric, np.broadcast_to(x, yy.shape), yy)
-    weighted = dict(zip(offsets, (f2 * ric).tolist()))
+    return x, y, h, y + h * np.array(_tensor_offsets(metric.dimension), dtype=float)
+
+
+def _assemble_tensor(metric, x, y, h, weighted, contraction_limit) -> CurvatureData:
+    """Ricci tensor at (x, y) from F^2 Ric on its cloud, differenced in y
+    with O(h^4) stencils; raises AccuracyError on a contraction residual
+    above contraction_limit."""
+    n = metric.dimension
+    weighted = dict(zip(_tensor_offsets(n), weighted))
 
     def r(offset):
         return weighted[tuple(offset)]
@@ -256,6 +264,53 @@ def ricci_tensor(metric, x, y, step=0.05, contraction_limit=1e-3) -> CurvatureDa
     return data
 
 
+def _weighted_ricci(metric, clouds):
+    """F^2 Ric over every cloud of `clouds` in one _ricci_and_energy call,
+    as one list of values per cloud."""
+    X = np.concatenate([np.broadcast_to(x, yy.shape) for x, _, _, yy in clouds])
+    Y = np.concatenate([yy for *_, yy in clouds])
+    ric, f2 = _ricci_and_energy(metric, X, Y)
+    weighted = (f2 * ric).tolist()
+    size = len(Y) // len(clouds)
+    return [weighted[k * size:(k + 1) * size] for k in range(len(clouds))]
+
+
+def _ricci_tensors(metric, samples, step, contraction_limit):
+    """Ricci tensors of the line elements in `samples`, yielded in order.
+
+    Every sample is validated and its cloud built before any curvature
+    work; F^2 Ric over all clouds then costs one _ricci_and_energy call,
+    and each sample is assembled (and may raise) only when it is reached.
+    """
+    clouds = [_tensor_cloud(metric, x, y, step) for x, y in samples]
+    if not clouds:
+        return
+    try:
+        weighted = _weighted_ricci(metric, clouds)
+    except Exception:
+        if len(clouds) == 1:
+            raise
+        # some sample's curvature work fails: redo it sample by sample, so
+        # an earlier sample's AccuracyError still comes first and the
+        # failing sample raises again when it is reached
+        weighted = None
+    for k, (x, y, h, _) in enumerate(clouds):
+        w = weighted[k] if weighted is not None else _weighted_ricci(metric, clouds[k:k + 1])[0]
+        yield _assemble_tensor(metric, x, y, h, w, contraction_limit)
+
+
+def ricci_tensor(metric, x, y, step=TENSOR_STEP,
+                 contraction_limit=CONTRACTION_LIMIT) -> CurvatureData:
+    """Akbar-Zadeh Ricci tensor, the y-Hessian of F^2 Ric / 2.
+
+    The weighted-Ricci field F^2 Ric, evaluated at all stencil offsets in
+    one batch, is differenced in y with O(h^4) stencils.
+    The contraction identity is enforced a posteriori; a residual above
+    contraction_limit raises AccuracyError.
+    """
+    return next(_ricci_tensors(metric, [(x, y)], step, contraction_limit))
+
+
 def curvature_matrix(metric, x, y) -> np.ndarray:
     """Cross-check path for R^i_k via horizontal derivatives.
 
@@ -266,14 +321,14 @@ def curvature_matrix(metric, x, y) -> np.ndarray:
     x, y = metric.check_line_element(as_coords(x), as_components(y))
     n = metric.dimension
     hy = 1e-4 * _yscale(y)
+    G = spray_function(metric)
 
     def T(xx, yy):
         # (i, j) -> (dG^i/dy^j) / F
-        cols = [central_d1(lambda w: spray_vector(metric, xx, w), yy, j, hy) for j in range(n)]
+        cols = [central_d1(lambda w: G(xx, w), yy, j, hy) for j in range(n)]
         return np.column_stack(cols) / metric.norm(xx, yy)
 
-    N0 = 0.5 * np.column_stack(
-        [central_d1(lambda w: spray_vector(metric, x, w), y, j, hy) for j in range(n)])
+    N0 = 0.5 * np.column_stack([central_d1(lambda w: G(x, w), y, j, hy) for j in range(n)])
     _, H = _x_steps(metric, x)
     Ty = [central_d1(lambda yy: T(x, yy), y, m, 1e-3 * _yscale(y)) for m in range(n)]
     delta = []
@@ -343,8 +398,8 @@ def check_ricci_bound(metric, samples, c, tolerance=1e-3) -> RicciBoundReport:
         raise ConstructionError("the Ricci bound constant c must be positive")
     samples = [(as_coords(x), as_components(y)) for x, y in samples]
     report = RicciBoundReport(c=float(c), tolerance=float(tolerance), samples=samples)
-    for x, y in samples:
-        data = ricci_tensor(metric, x, y)
+    tensors = _ricci_tensors(metric, samples, TENSOR_STEP, CONTRACTION_LIMIT)
+    for (x, y), data in zip(samples, tensors):
         g = fundamental_tensor(metric, x, y)
         report.max_eigenvalues.append(float(np.linalg.eigvalsh(data.ric_tensor + c * c * g)[-1]))
         report.scales.append(max(1.0, float(np.abs(np.linalg.eigvalsh(g)).max())))

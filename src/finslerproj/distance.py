@@ -484,16 +484,16 @@ def _attach_lower_bounds(metric, report, segment, options):
 
 
 def _segment_line_elements(metric, segment, count=7):
+    n = metric.dimension
     ss = np.linspace(segment.s_min, segment.s_max, count + 2)[1:-1]
+    states = segment.states(np.append(ss, 0.5 * (segment.s_min + segment.s_max)))
     out = []
-    dirs = [np.eye(metric.dimension)[i] for i in range(metric.dimension)]
-    for s in ss:
-        xx = segment.position(s)
-        vv = segment.velocity(s)
+    for st in states[:-1]:
+        xx, vv = st[:n], st[n:]
         out.append((xx, vv))
         out.append((xx, -vv))
-    mid = segment.position(0.5 * (segment.s_min + segment.s_max))
-    for d in dirs:
+    mid = states[-1, :n]
+    for d in np.eye(n):
         out.append((mid, d))
     return out
 

@@ -19,6 +19,7 @@ from .core import BOUNDARY_MARGIN, as_components, as_coords, boundary_room
 from .diffengine import central_d1, fundamental_tensor
 from .errors import (ConnectivityError, ConvexityError, DomainError,
                      StiffnessError)
+from .metrics import RiemannianMetric
 
 EXTENSION_CAP = 50.0
 # Chain construction needs the chart endpoints to sit at machine accuracy,
@@ -30,8 +31,9 @@ EXTENSION_MARGIN = 1e-12
 # Spray
 # ======================================================================
 
-def _spray_from_tensor(metric, x, y):
-    """Formal-Christoffel route: G^i = g^{is}(dg_sj/dx^k - dg_jk/dx^s / 2) y^j y^k."""
+def _spray_xdata(metric, x, y):
+    """x-data of the formal-Christoffel route: the tensor g0 at x and its
+    x-derivatives dg[a, b, k] = d g_ab / d x^k, by the one stencil."""
     n = metric.dimension
 
     def g_from(xx, ga):
@@ -50,9 +52,14 @@ def _spray_from_tensor(metric, x, y):
         raise DomainError("spray stencil cannot stay inside the domain")
 
     g0 = g_from(x, analytic)
-    dg = np.empty((n, n, n))  # dg[a, b, k] = d g_ab / d x^k
+    dg = np.empty((n, n, n))
     for k in range(n):
         dg[:, :, k] = central_d1(g_at, x, k, h)
+    return g0, dg
+
+
+def _spray_contract(x, y, g0, dg):
+    """G^i = g^{is}(dg_sj/dx^k - dg_jk/dx^s / 2) y^j y^k from the x-data."""
     rhs = np.einsum("sjk,j,k->s", dg, y, y) - 0.5 * np.einsum("jks,j,k->s", dg, y, y)
     try:
         return np.linalg.solve(g0, rhs)
@@ -60,13 +67,41 @@ def _spray_from_tensor(metric, x, y):
         raise ConvexityError(f"singular fundamental tensor at x={x.tolist()}") from exc
 
 
-def spray_vector(metric, x, y) -> np.ndarray:
-    """Spray coefficients G(x, y) of the geodesic equation x'' + G = 0."""
+def _spray_from_tensor(metric, x, y):
+    """Formal-Christoffel route: G^i = g^{is}(dg_sj/dx^k - dg_jk/dx^s / 2) y^j y^k."""
+    return _spray_contract(x, y, *_spray_xdata(metric, x, y))
+
+
+def _spray(metric, x, y, xdata):
+    """The one spray dispatch; xdata is None, or a dict that keeps the
+    formal-Christoffel x-data by the bytes of x."""
     x, y = metric.check_line_element(x, y)
     g = metric.spray_vector(x, y)
     if g is not None:
         return np.asarray(g, dtype=float)
-    return _spray_from_tensor(metric, x, y)
+    if xdata is None:
+        return _spray_from_tensor(metric, x, y)
+    key = x.tobytes()
+    if key not in xdata:
+        xdata[key] = _spray_xdata(metric, x, y)
+    return _spray_contract(x, y, *xdata[key])
+
+
+def spray_vector(metric, x, y) -> np.ndarray:
+    """Spray coefficients G(x, y) of the geodesic equation x'' + G = 0."""
+    return _spray(metric, x, y, None)
+
+
+def spray_function(metric):
+    """spray_vector(metric, ., .) for many evaluations at few points x.
+
+    The tensor of a RiemannianMetric ignores y, so on the formal-Christoffel
+    route its x-data is computed once per point x, keyed by the bytes of x,
+    and contracted with every y seen there; the values are those of
+    spray_vector. Any other metric is evaluated call by call.
+    """
+    xdata = {} if isinstance(metric, RiemannianMetric) else None
+    return lambda x, y: _spray(metric, x, y, xdata)
 
 
 # ======================================================================
@@ -114,11 +149,14 @@ class GeodesicSegment:
     def length(self) -> float:
         return self.s_max - self.s_min
 
-    def state(self, s):
-        s = float(s)
+    def _check_inside(self, s):
         slack = 1e-10 * max(1.0, abs(self.s_min), abs(self.s_max))
         if s < self.s_min - slack or s > self.s_max + slack:
             raise DomainError(f"parameter {s} outside segment [{self.s_min}, {self.s_max}]")
+
+    def state(self, s):
+        s = float(s)
+        self._check_inside(s)
         s = min(max(s, self.s_min), self.s_max)
         if s >= 0.0:
             sol = self._forward
@@ -128,6 +166,22 @@ class GeodesicSegment:
             return self._anchor.copy()
         return np.asarray(sol.sol(s), dtype=float)
 
+    def states(self, ss) -> np.ndarray:
+        """Dense-output states (x, v) at every s of ss, shape (len(ss), 2n);
+        row k equals state(ss[k]), with one interpolant call per leg."""
+        ss = np.asarray(ss, dtype=float).ravel()
+        if ss.size:
+            self._check_inside(float(ss.min()))
+            self._check_inside(float(ss.max()))
+        ss = np.clip(ss, self.s_min, self.s_max)
+        out = np.empty((ss.size, self._anchor.size))
+        fwd = ss >= 0.0
+        for side, sol in ((fwd, self._forward), (~fwd, self._backward)):
+            if not side.any():
+                continue
+            out[side] = self._anchor if sol is None else sol.sol(ss[side]).T
+        return out
+
     def position(self, s):
         return self.state(s)[: self.metric.dimension]
 
@@ -136,21 +190,7 @@ class GeodesicSegment:
 
     def positions(self, ss) -> np.ndarray:
         """Bulk dense-output positions, shape (len(ss), n)."""
-        ss = np.clip(np.asarray(ss, dtype=float), self.s_min, self.s_max)
-        n = self.metric.dimension
-        out = np.empty((ss.size, n))
-        fwd = ss >= 0.0
-        if fwd.any():
-            if self._forward is None:
-                out[fwd] = self._anchor[:n]
-            else:
-                out[fwd] = self._forward.sol(ss[fwd])[:n].T
-        if (~fwd).any():
-            if self._backward is None:
-                out[~fwd] = self._anchor[:n]
-            else:
-                out[~fwd] = self._backward.sol(ss[~fwd])[:n].T
-        return out
+        return self.states(ss)[:, : self.metric.dimension]
 
     @property
     def samples(self):
@@ -266,9 +306,10 @@ class BVPResult:
 def _chord_length(metric, x, y, samples=64):
     ts = (np.arange(samples) + 0.5) / samples
     d = y - x
+    points = x + ts[:, None] * d
     acc = 0.0
-    for t in ts:
-        acc += metric.norm(x + t * d, d)
+    for f in metric.norm_batch(points, np.broadcast_to(d, points.shape)).tolist():
+        acc += f  # left to right, as a scalar loop sums
     return acc / samples
 
 

@@ -40,6 +40,7 @@ class EuclideanMetric(FinslerMetric):
 
     name = "euclidean"
     spray_supports_jets = True
+    _norm_takes_columns = True
 
     def __init__(self, dimension):
         if dimension < 2:
@@ -129,6 +130,7 @@ class KleinMetric(RiemannianMetric):
     supports_jets = True
     spray_supports_jets = True
     name = "klein"
+    _norm_takes_columns = True
 
     def __init__(self, dimension):
         def g(x):
@@ -272,6 +274,7 @@ class QuadraticFunkMetric(FinslerMetric):
 
     name = "quadratic-funk"
     spray_supports_jets = True
+    _norm_takes_columns = True
 
     def __init__(self, spec: QuadraticDomainSpec):
         self.spec = spec
@@ -440,6 +443,7 @@ class RandersMetric(FinslerMetric):
         self.name = spec.name
         self._constant = not callable(spec.a_provider) and not callable(spec.b_provider)
         self.spray_supports_jets = self._constant
+        self._norm_takes_columns = self._constant  # providers may be float-only
 
     def _norm_impl(self, x, y):
         if self._constant:

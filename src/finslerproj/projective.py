@@ -18,7 +18,8 @@ from scipy import integrate, interpolate, optimize
 
 from .curvature import ricci_scalar_batch
 from .diffengine import Jet
-from .errors import ChartError, CriticalPointError, DomainError, PoleError
+from .errors import (ChartError, ConstructionError, CriticalPointError, DomainError,
+                     PoleError)
 from .geodesics import GeodesicSegment
 
 
@@ -38,7 +39,7 @@ class MobiusTransform:
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
         if det == 0.0 or not math.isfinite(det):
-            raise ValueError("Moebius transform needs ad - bc nonzero and finite")
+            raise ConstructionError("Moebius transform needs ad - bc nonzero and finite")
         scale = math.sqrt(abs(det))
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, getattr(self, name) / scale)
@@ -101,7 +102,7 @@ class MobiusTransform:
     def interval_onto(cls, lo, hi):
         """Affine map of (-1, 1) onto (lo, hi)."""
         if not lo < hi:
-            raise ValueError("interval_onto needs lo < hi")
+            raise DomainError("interval_onto needs lo < hi")
         return cls(0.5 * (hi - lo), 0.5 * (hi + lo), 0.0, 1.0)
 
 
@@ -110,7 +111,7 @@ def cross_ratio(t1, t2, t3, t4) -> float:
     num = (t1 - t3) * (t2 - t4)
     den = (t1 - t4) * (t2 - t3)
     if den == 0.0:
-        raise ValueError("degenerate four-point configuration")
+        raise DomainError("degenerate four-point configuration")
     return num / den
 
 
@@ -210,7 +211,7 @@ class ProjectiveParameter:
         self.q_values = np.asarray(q_values)
         self._sol = sol
         self.poles = list(poles)
-        self._w2_scale = max(1.0, max(abs(float(sol.sol(s)[2])) for s in self.s_grid))
+        self._w2_scale = max(1.0, max(abs(w2) for w2 in sol.sol(self.s_grid)[2].tolist()))
 
     # -- raw solutions ----------------------------------------------------
 
@@ -333,10 +334,10 @@ def _q_window(metric, segment, margin_fraction=1e-6, drift_limit=1e-6):
     ss = np.linspace(lo, hi, 201)
     needs_room = metric.bounded_domain and not metric.spray_supports_jets
     threshold = margin_fraction * metric.domain_scale
+    n = metric.dimension
+    states = segment.states(ss)
 
-    def healthy(s):
-        x = segment.position(s)
-        v = segment.velocity(s)
+    def healthy(x, v):
         try:
             if abs(metric.norm(x, v) - 1.0) > drift_limit:
                 return False
@@ -346,7 +347,7 @@ def _q_window(metric, segment, margin_fraction=1e-6, drift_limit=1e-6):
             return False
         return True
 
-    flags = [healthy(s) for s in ss]
+    flags = [healthy(st[:n], st[n:]) for st in states]
     anchor = int(np.argmin(np.abs(ss)))
     if not flags[anchor]:
         return lo, hi
@@ -376,7 +377,7 @@ def projective_parameter(metric, segment: GeodesicSegment, *, s0=0.0,
     q_lo, q_hi = _q_window(metric, segment)
     count = max(9, int(math.ceil((q_hi - q_lo) / q_step)) + 1)
     s_grid = np.linspace(q_lo, q_hi, count)
-    states = np.array([segment.state(s) for s in s_grid])
+    states = segment.states(s_grid)
     q_values = 2.0 / (n - 1) * ricci_scalar_batch(metric, states[:, :n], states[:, n:])
     k = min(5, count - 1)
     q_spline = interpolate.make_interp_spline(s_grid, q_values, k=k)
@@ -408,7 +409,14 @@ def projective_parameter(metric, segment: GeodesicSegment, *, s0=0.0,
                 if sol is None:
                     return np.array([0.0, 1.0, 1.0, 0.0])
                 return sol.sol(s)
-            return np.column_stack([self.sol(si) for si in np.atleast_1d(s)])
+            s = np.atleast_1d(s)
+            out = np.empty((4, s.size))
+            fwd = s >= self.s0
+            for side, sol in ((fwd, self.fw), (~fwd, self.bw)):
+                if side.any():
+                    out[:, side] = ([[0.0], [1.0], [1.0], [0.0]] if sol is None
+                                    else sol.sol(s[side]))
+            return out
 
     fw = sols.get(hi)
     bw = sols.get(lo)
@@ -416,7 +424,7 @@ def projective_parameter(metric, segment: GeodesicSegment, *, s0=0.0,
 
     # pole locations: sign changes of w2 on a fine grid, refined by brentq
     fine = np.linspace(lo, hi, max(4 * count, 257))
-    w2_vals = np.array([float(glue.sol(s)[2]) for s in fine])
+    w2_vals = glue.sol(fine)[2]
     poles = []
     for i in range(len(fine) - 1):
         a, b = w2_vals[i], w2_vals[i + 1]
@@ -446,7 +454,7 @@ def invariance_cross_check(metric_a, metric_b, x0, direction, probe_arclengths,
 
     probes = sorted(float(s) for s in probe_arclengths)
     if len(probes) != 4:
-        raise ValueError("exactly 4 probe arc-lengths are needed")
+        raise ConstructionError("exactly 4 probe arc-lengths are needed")
     x0 = np.asarray(x0, dtype=float)
     direction = np.asarray(direction, dtype=float)
     unit = direction / np.linalg.norm(direction)

@@ -1,18 +1,22 @@
 """Ricci scalar and tensor, the bound checker, and the projective factor."""
 
+import math
+
 import numpy as np
 import pytest
 
+from finslerproj import curvature
 from finslerproj.curvature import (check_ricci_bound, curvature_matrix,
                                    projective_factor, ricci_scalar,
                                    ricci_scalar_batch, ricci_tensor,
                                    verify_ric_transformation)
 from finslerproj.diffengine import fundamental_tensor
-from finslerproj.errors import (ConstructionError, ConvexityError, DomainError,
-                                FinslerError, NotProjectiveError)
+from finslerproj.errors import (AccuracyError, ConstructionError, ConvexityError,
+                                DomainError, FinslerError, NotProjectiveError)
+from finslerproj.geodesics import spray_function, spray_vector
 from finslerproj.metrics import (EuclideanMetric, QuadraticDomainSpec, RandersSpec,
-                                 funk_ball, funk_from_quadratic, klein_metric,
-                                 randers_metric)
+                                 RiemannianMetric, RiemannianSpec, funk_ball,
+                                 funk_from_quadratic, klein_metric, randers_metric)
 
 
 def riemann_ricci_oracle(g_fn, x, h=1e-4):
@@ -257,6 +261,202 @@ class TestRicciBound:
     def test_positive_c_required(self, klein2):
         with pytest.raises(ConstructionError):
             check_ricci_bound(klein2, [([0.0, 0.0], [1.0, 0.0])], -1.0)
+
+
+def blackbox_klein(n, calls=None):
+    """The Klein tensor as a bare provider, with no Christoffels: its spray
+    takes the formal-Christoffel stencil route. `calls`, a list, counts the
+    provider evaluations."""
+    def g(x):
+        if calls is not None:
+            calls.append(1)
+        phi = 1.0 - float(x @ x)
+        return np.eye(len(x)) / phi + np.outer(x, x) / phi ** 2
+
+    return RiemannianMetric(RiemannianSpec(
+        dimension=n, metric_provider=g, domain_provider=lambda x: 1.0 - float(x @ x),
+        name="klein-blackbox"))
+
+
+def radial_randers():
+    """A Randers metric whose a and b vary with x: its tensor depends on y
+    and its spray has no jet form."""
+    return randers_metric(RandersSpec(
+        2, lambda x: np.eye(2) * (1.0 + 0.1 * (x @ x)), lambda x: 0.1 * np.array([x[0], x[1]]),
+        name="radial-randers"))
+
+
+def probe_ellipsoid():
+    """Funk metric of a rotated ellipsoid with semi-axes 0.45, 1.0, 1.6,
+    where ricci_tensor's fixed y-step misses its contraction limit."""
+    a, b, c = 0.3, -0.5, 0.7
+    rx = np.array([[1, 0, 0], [0, math.cos(a), -math.sin(a)], [0, math.sin(a), math.cos(a)]])
+    ry = np.array([[math.cos(b), 0, math.sin(b)], [0, 1, 0], [-math.sin(b), 0, math.cos(b)]])
+    rz = np.array([[math.cos(c), -math.sin(c), 0], [math.sin(c), math.cos(c), 0], [0, 0, 1]])
+    rot = rz @ ry @ rx
+    A = rot @ np.diag(np.array([0.45, 1.0, 1.6]) ** -2.0) @ rot.T
+    return funk_from_quadratic(QuadraticDomainSpec(alpha=-0.5 * (A + A.T), beta=np.zeros(3),
+                                                   gamma=1.0))
+
+
+PROBE_ELEMENT = ([-0.063, 0.314, 0.365], [0.345, 0.418, -1.505])
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values).tolist()]
+
+
+class TestBlackBoxRoute:
+    """The stencil route shares each point's tensor x-data between the
+    y-offsets of one batch; the values are those of recomputing it."""
+
+    # bit patterns of the route that recomputed the x-data on every spray call
+    @pytest.mark.parametrize("make, x, y, scalar, tensor", [
+        (lambda: blackbox_klein(2), [0.3, -0.2], [0.7, 0.4], "-0x1.fffff336740ddp-1",
+         ["-0x1.44b1595b2005fp+0", "0x1.44b1abe9f9aecp-4",
+          "0x1.44b1abe9f9aecp-4", "-0x1.33c8237b82923p+0"]),
+        (lambda: blackbox_klein(3), [0.1, -0.2, 0.3], [0.4, 0.5, -0.6], "-0x1.fffff141a9c2fp+0",
+         ["-0x1.2d22be8c9b19bp+1", "0x1.bb0ea8936a678p-5", "-0x1.4c4a151bc6f03p-4",
+          "0x1.bb0ea8936a678p-5", "-0x1.3784f707baee1p+1", "0x1.4c49b1835481cp-3",
+          "-0x1.4c4a151bc6f03p-4", "0x1.4c49b1835481cp-3", "-0x1.48d3824c9a5c0p+1"]),
+        (radial_randers, [0.0, 0.1], [1.0, 0.0], "-0x1.890221e806d73p-3",
+         ["-0x1.8997ad5e6370dp-3", "-0x1.795498ecf2894p-9",
+          "-0x1.795498ecf2894p-9", "-0x1.8154a9b9ade20p-3"]),
+    ])
+    def test_values_pinned(self, make, x, y, scalar, tensor):
+        metric = make()
+        assert ricci_scalar(metric, x, y).hex() == scalar
+        assert hexes(ricci_tensor(metric, x, y).ric_tensor) == tensor
+
+    def test_curvature_matrix_pinned(self):
+        R = curvature_matrix(blackbox_klein(2), [0.3, -0.2], [0.7, 0.4])
+        assert hexes(R) == ["-0x1.c4ec4fa12e837p-3", "0x1.8c4ec5ad08b30p-2",
+                            "0x1.c7bc7bcdeb645p-2", "-0x1.8ec4ec542df7cp-1"]
+
+    def test_randers_contraction_failure_pinned(self):
+        with pytest.raises(AccuracyError) as err:
+            ricci_tensor(radial_randers(), [0.2, -0.3], [0.6, 0.8])
+        assert err.value.achieved.hex() == "0x1.1cbfc78a79e80p-8"
+
+    def test_xdata_computed_once_per_point(self):
+        calls = []
+        metric = blackbox_klein(2, calls)
+        G = spray_function(metric)
+        x = np.array([0.3, -0.2])
+        ys = [np.array(y) for y in ([0.7, 0.4], [-1.0, 0.2], [0.1, 3.0])]
+        shared = [G(x, y) for y in ys]
+        per_point = len(calls)
+        fresh = [spray_vector(metric, x, y) for y in ys]
+        assert len(calls) == 4 * per_point  # each fresh call rebuilds the x-data
+        assert [hexes(v) for v in shared] == [hexes(v) for v in fresh]
+
+    def test_y_dependent_tensor_not_shared(self):
+        metric = radial_randers()
+        G = spray_function(metric)
+        x = np.array([0.2, -0.3])
+        for y in ([0.6, 0.8], [-1.0, 0.1], [0.3, -0.9]):
+            assert hexes(G(x, np.array(y))) == hexes(spray_vector(metric, x, np.array(y)))
+
+    def test_analytic_subclass_spray_kept(self):
+        class AnalyticKlein(RiemannianMetric):
+            def spray_vector(self, x, y):
+                return klein_metric(2).spray_vector(x, y)
+
+        metric = AnalyticKlein(blackbox_klein(2).spec)
+        x, y = np.array([0.3, -0.2]), np.array([0.7, 0.4])
+        assert hexes(spray_function(metric)(x, y)) == \
+            hexes(klein_metric(2).spray_vector(x, y))
+
+    def test_shared_spray_still_validates(self):
+        G = spray_function(blackbox_klein(2))
+        G(np.array([0.1, 0.0]), np.array([1.0, 0.0]))
+        with pytest.raises(DomainError):
+            G(np.array([0.1, 0.0]), np.array([0.0, 0.0]))
+        with pytest.raises(DomainError):
+            G(np.array([1.1, 0.0]), np.array([1.0, 0.0]))
+
+
+class TestRicciBoundBatch:
+    """check_ricci_bound makes one curvature pass over every sample's cloud
+    and reports what a per-sample loop reports."""
+
+    @staticmethod
+    def loop_report(metric, samples, c):
+        eigs, scales = [], []
+        for x, y in samples:
+            data = ricci_tensor(metric, x, y)
+            g = fundamental_tensor(metric, x, y)
+            eigs.append(float(np.linalg.eigvalsh(data.ric_tensor + c * c * g)[-1]))
+            scales.append(max(1.0, float(np.abs(np.linalg.eigvalsh(g)).max())))
+        return eigs, scales
+
+    @pytest.mark.parametrize("make, count, c", [
+        (lambda: klein_metric(2), 6, 1.0),
+        (lambda: klein_metric(3), 4, math.sqrt(2.0)),
+        (lambda: anisotropic_ellipsoid(2, 5), 4, 0.4),
+        (lambda: blackbox_klein(2), 2, 1.0),
+        (radial_randers, 1, 0.1),
+    ])
+    def test_report_equals_per_sample_loop(self, make, count, c):
+        metric = make()
+        samples = metric.random_line_elements(count, np.random.default_rng(17))
+        if metric.name == "radial-randers":
+            samples = [([0.0, 0.1], [1.0, 0.0])]
+        report = check_ricci_bound(metric, samples, c)
+        eigs, scales = self.loop_report(metric, samples, c)
+        assert hexes(report.max_eigenvalues) == hexes(eigs)
+        assert hexes(report.scales) == hexes(scales)
+
+    def test_one_curvature_pass(self, monkeypatch):
+        passes = []
+        inner = curvature._ricci_and_energy
+
+        def counted(metric, X, Y):
+            passes.append(len(X))
+            return inner(metric, X, Y)
+
+        monkeypatch.setattr(curvature, "_ricci_and_energy", counted)
+        metric = klein_metric(3)
+        check_ricci_bound(metric, metric.random_line_elements(5, np.random.default_rng(3)),
+                          math.sqrt(2.0))
+        assert passes == [5 * 37]
+
+    def test_invalid_second_sample_raises_before_curvature(self, monkeypatch):
+        def no_curvature(*args):
+            raise AssertionError("curvature work before every sample was validated")
+
+        monkeypatch.setattr(curvature, "_ricci_and_energy", no_curvature)
+        with pytest.raises(DomainError):
+            check_ricci_bound(klein_metric(2), [([0.1, 0.2], [1.0, 0.0]),
+                                                ([1.2, 0.0], [1.0, 0.0])], 1.0)
+
+    def test_probe_element_raises_accuracy_error(self):
+        metric = probe_ellipsoid()
+        with pytest.raises(AccuracyError) as single:
+            ricci_tensor(metric, *PROBE_ELEMENT)
+        assert single.value.achieved.hex() == "0x1.08df28b3a5f80p-8"
+        # a healthy element first: the probe's error is still the one raised
+        healthy = ([0.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        ricci_tensor(metric, *healthy)
+        with pytest.raises(AccuracyError) as batch:
+            check_ricci_bound(metric, [healthy, PROBE_ELEMENT], 0.5)
+        assert batch.value.achieved.hex() == "0x1.08df28b3a5f80p-8"
+
+    def test_earlier_accuracy_error_wins_over_later_curvature_error(self):
+        metric = blackbox_klein(2)
+        failing = ([-0.5146, 0.8563], [0.395, 0.43])  # misses the contraction limit
+        edge = ([1.0 - 2e-9, 0.0], [0.0, 1.0])  # valid, but no room for the x-stencil
+        with pytest.raises(DomainError):
+            ricci_tensor(metric, *edge)
+        with pytest.raises(AccuracyError) as err:
+            check_ricci_bound(metric, [failing, edge], 1.0)
+        assert err.value.achieved.hex() == "0x1.d7ab49db88600p-10"
+        with pytest.raises(DomainError):
+            check_ricci_bound(metric, [edge, failing], 1.0)
+
+    def test_empty_sample_set(self):
+        report = check_ricci_bound(klein_metric(2), [], 1.0)
+        assert report.max_eigenvalues == [] and not report.passed
 
 
 class TestProjectiveFactor:

@@ -135,6 +135,42 @@ class TestIntegration:
             x = seg.position(s)
             assert 1.0 - x @ x == pytest.approx(1e-12, rel=1e-2)
 
+    @pytest.mark.parametrize("kind", ["extension", "forward", "clipped", "anchor"])
+    def test_states_equal_stacked_state(self, klein2, ball2, kind):
+        if kind == "extension":
+            seg = extend_geodesic(klein2, [0.1, -0.2], [0.6, 0.3])
+        elif kind == "forward":
+            seg = integrate_geodesic(ball2, [0.2, 0.1], [-0.5, 1.0], 1.5)
+        elif kind == "clipped":
+            seg = integrate_geodesic(klein2, [0.2, 0.1], [-0.5, 1.0], 1.5).clipped(0.7)
+        else:
+            seg = integrate_geodesic(klein2, [0.2, 0.1], [-0.5, 1.0], 0.0)
+        ss = np.append(np.linspace(seg.s_min, seg.s_max, 41), [0.0, seg.s_max, 0.3 * seg.s_min])
+        states = seg.states(ss)
+        assert states.shape == (len(ss), 4)
+        stacked = np.array([seg.state(s) for s in ss])
+        assert [v.hex() for v in states.ravel().tolist()] == \
+            [v.hex() for v in stacked.ravel().tolist()]
+        assert np.array_equal(seg.positions(ss), stacked[:, :2])
+        assert seg.states([]).shape == (0, 4)
+
+    def test_states_outside_segment_rejected(self, klein2):
+        seg = integrate_geodesic(klein2, [0.2, 0.1], [-0.5, 1.0], 1.5)
+        for ss in ([-0.1, 0.5], [0.5, 1.6]):
+            with pytest.raises(DomainError):
+                seg.states(ss)
+            with pytest.raises(DomainError):
+                seg.state(ss[0] if ss[0] < 0 else ss[1])
+
+    def test_chord_length_sums_scalar_norms(self, klein2, ball2, randers_const):
+        for metric in (klein2, ball2, randers_const):
+            x, y = np.array([0.1, -0.3]), np.array([-0.4, 0.5])
+            d = y - x
+            acc = 0.0
+            for t in (np.arange(64) + 0.5) / 64:
+                acc += metric.norm(x + t * d, d)
+            assert geodesics._chord_length(metric, x, y).hex() == (acc / 64).hex()
+
     def test_klein_spray_off_the_ball_is_nan(self, klein2):
         for x in ([1.0, 0.0], [0.6, 0.8], [1.2, 0.0]):
             assert not np.any(np.isfinite(klein2.spray_vector(np.array(x), np.array([0.3, 1.0]))))

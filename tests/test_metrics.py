@@ -8,10 +8,10 @@ import pytest
 from finslerproj.core import arc_length, validate_homogeneity, validate_strong_convexity
 from finslerproj.distance import funk_distance_interval
 from finslerproj.errors import ConstructionError, DomainError
-from finslerproj.metrics import (IntervalFunkMetric, QuadraticDomainSpec,
-                                 RandersSpec, funk_from_quadratic,
-                                 interval_funk_eval, klein_metric,
-                                 randers_metric)
+from finslerproj.metrics import (EuclideanMetric, IntervalFunkMetric,
+                                 QuadraticDomainSpec, RandersSpec, RiemannianMetric,
+                                 RiemannianSpec, funk_ball, funk_from_quadratic,
+                                 interval_funk_eval, klein_metric, randers_metric)
 
 
 def ball_closed_form(x, y):
@@ -173,6 +173,84 @@ class TestRanders:
             name="curl-randers")
         metric = randers_metric(spec)
         assert metric.norm([0.5, 0.0], [0.0, 1.0]) == pytest.approx(1.1)
+
+
+def shipped_metrics():
+    """One instance of every shipped FinslerMetric class, with a point just
+    outside its domain (None when the domain is all of R^n)."""
+    def g(x):
+        return np.eye(2) * (1.0 + 0.1 * (x @ x))
+
+    return {
+        "euclidean": (EuclideanMetric(2), None),
+        "klein": (klein_metric(3), [0.6, 0.6, 0.6]),
+        "funk-ball": (funk_ball(2), [0.8, 0.7]),
+        "funk-ellipsoid": (funk_from_quadratic(QuadraticDomainSpec(
+            alpha=np.array([[-1.5, 0.3], [0.3, -0.8]]), beta=np.array([0.1, -0.05]),
+            gamma=1.0, k=1.3)), [2.0, 0.0]),
+        "riemannian": (RiemannianMetric(RiemannianSpec(
+            2, g, domain_provider=lambda x: 1.0 - float(x @ x))), [1.0, 0.1]),
+        "randers-constant": (randers_metric(RandersSpec(2, np.eye(2), np.array([0.5, 0.0]))),
+                             None),
+        "randers-varying": (randers_metric(RandersSpec(
+            2, g, lambda x: 0.2 * np.array([-x[1], x[0]]))), None),
+    }
+
+
+class TestNormBatch:
+    @pytest.mark.parametrize("name", sorted(shipped_metrics()))
+    def test_equals_norm_loop(self, name):
+        metric, _ = shipped_metrics()[name]
+        elements = metric.random_line_elements(40, np.random.default_rng(8))
+        X = np.array([x for x, _ in elements])
+        Y = np.array([y for _, y in elements])
+        batch = metric.norm_batch(X, Y)
+        assert batch.shape == (40,)
+        assert [v.hex() for v in batch.tolist()] == \
+            [metric.norm(x, y).hex() for x, y in elements]
+        assert metric.norm_batch(X[:0], Y[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("name", sorted(shipped_metrics()))
+    def test_invalid_element_raises_like_the_loop(self, name):
+        metric, outside = shipped_metrics()[name]
+        n = metric.dimension
+        X = np.full((3, n), 0.1)
+        Y = np.ones((3, n))
+        bad = [(1, None, np.zeros(n)), (2, None, np.full(n, np.nan))]
+        if outside is not None:
+            bad.append((2, outside, None))
+        for k, x, y in bad:
+            Xb, Yb = X.copy(), Y.copy()
+            if x is not None:
+                Xb[k] = x
+            if y is not None:
+                Yb[k] = y
+            with pytest.raises(DomainError) as loop:
+                [metric.norm(xx, yy) for xx, yy in zip(Xb, Yb)]
+            with pytest.raises(DomainError) as batch:
+                metric.norm_batch(Xb, Yb)
+            assert str(batch.value) == str(loop.value)
+
+    @pytest.mark.parametrize("count", [2, 40])
+    def test_jet_safe_provider_gets_floats(self, count):
+        # written for the jet contract, where x arrives as floats: on (N,)
+        # columns np.eye(2) * scalar would broadcast wrongly or fail
+        metric = randers_metric(RandersSpec(
+            2, lambda x: np.eye(2) * (1.0 + 0.1 * (x[0] * x[0] + x[1] * x[1])),
+            lambda x: np.array([0.1 * x[1], -0.1 * x[0]]), jet_safe=True))
+        elements = metric.random_line_elements(count, np.random.default_rng(5))
+        X = np.array([x for x, _ in elements])
+        Y = np.array([y for _, y in elements])
+        assert [v.hex() for v in metric.norm_batch(X, Y).tolist()] == \
+            [metric.norm(x, y).hex() for x, y in elements]
+
+    @pytest.mark.parametrize("X, Y", [
+        (np.zeros((2, 2)), np.ones((3, 2))),
+        (np.zeros(2), np.ones(2)),
+    ])
+    def test_malformed_stacks_rejected(self, klein2, X, Y):
+        with pytest.raises(DomainError):
+            klein2.norm_batch(X, Y)
 
 
 class TestShippedAxioms:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from finslerproj.diffengine import Jet
-from finslerproj.errors import ChartError, CriticalPointError, DomainError, PoleError
+from finslerproj.errors import (ChartError, ConstructionError, CriticalPointError,
+                               DomainError, PoleError)
 from finslerproj.geodesics import extend_geodesic
 from finslerproj.metrics import RiemannianMetric, RiemannianSpec
 from finslerproj.projective import (MobiusTransform, check_composition,
@@ -88,8 +89,12 @@ class TestMobius:
             m.apply(0.5)
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConstructionError):
             MobiusTransform(1.0, 2.0, 2.0, 4.0)
+        with pytest.raises(DomainError):
+            MobiusTransform.interval_onto(0.5, 0.5)
+        with pytest.raises(DomainError):
+            cross_ratio(0.1, 0.2, 0.3, 0.1)
 
     def test_cross_ratio_preserved(self, rng):
         for _ in range(200):
@@ -226,6 +231,15 @@ class TestProjectiveParameter:
         cr_b = cross_ratio(*(par_b.value(s) for s in probes))
         assert cr_a == pytest.approx(cr_b, abs=1e-8)
 
+    def test_basis_arrays_equal_scalar_calls(self):
+        sphere = SphereMetric()
+        seg = extend_geodesic(sphere, [0.0, 0.0], [1.0, 0.0], cap=2.5)
+        par = projective_parameter(sphere, seg, s0=0.3)
+        ss = np.linspace(seg.s_min, seg.s_max, 57)
+        stacked = np.column_stack([par._sol.sol(s) for s in ss])
+        assert [v.hex() for v in par._sol.sol(ss).ravel().tolist()] == \
+            [v.hex() for v in stacked.ravel().tolist()]
+
     def test_solve_value_inverts(self, klein2):
         seg = extend_geodesic(klein2, [0.0, 0.0], [1.0, 0.0])
         par = projective_parameter(klein2, seg)
@@ -245,5 +259,5 @@ class TestInvarianceCrossCheck:
         assert res <= 1e-10
 
     def test_probe_count_guard(self, klein2, eucl2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConstructionError):
             invariance_cross_check(klein2, eucl2, [0, 0], [1, 0], [0.0, 0.5])
