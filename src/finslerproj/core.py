@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, interpolate
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, ConstructionError, DomainError
 
 BOUNDARY_MARGIN = 1e-6  # default stop fraction of the domain scale
 
@@ -23,9 +23,9 @@ class Point:
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=float)
         if c.ndim != 1:
-            raise ValueError("point coordinates must form a vector")
+            raise DomainError("point coordinates must form a vector")
         if not np.all(np.isfinite(c)):
-            raise ValueError("point coordinates must be finite")
+            raise DomainError("point coordinates must be finite")
         object.__setattr__(self, "coords", c)
 
     def __len__(self):
@@ -42,9 +42,9 @@ class TangentVector:
     def __post_init__(self):
         v = np.asarray(self.components, dtype=float)
         if v.shape != self.base.coords.shape:
-            raise ValueError("tangent components must match the base dimension")
+            raise DomainError("tangent components must match the base dimension")
         if not np.all(np.isfinite(v)):
-            raise ValueError("tangent components must be finite")
+            raise DomainError("tangent components must be finite")
         object.__setattr__(self, "components", v)
 
 
@@ -237,7 +237,7 @@ def validate_homogeneity(metric, samples, tolerance=1e-10) -> ValidationReport:
     residuals = []
     for x, y, t in samples:
         if t <= 0:
-            raise ValueError("homogeneity factors must be positive")
+            raise DomainError("homogeneity factors must be positive")
         base = metric.norm(x, y)
         scaled = metric.norm(x, np.asarray(y, dtype=float) * t)
         residuals.append(abs(scaled - t * base) / base)
@@ -338,7 +338,7 @@ def _as_curve(curve):
         return _Wrapped()
     if isinstance(curve, tuple) and len(curve) == 2:
         return SampledCurve(*curve)
-    raise TypeError("curve must expose position/velocity, be a (pos, vel) pair "
+    raise ConstructionError("curve must expose position/velocity, be a (pos, vel) pair "
                     "of callables, or a (ts, points) sample pair")
 
 

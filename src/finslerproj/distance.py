@@ -12,13 +12,13 @@ which one the measurements support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import as_coords
 from .curvature import check_ricci_bound
-from .errors import (ChartError, ConstructionError, DomainError,
+from .errors import (ConstructionError, DomainError,
                      HypothesisError, InadmissibleChartError)
 from .geodesics import (EXTENSION_CAP, GeodesicSegment, connect,
                         extend_geodesic, finsler_distance)
@@ -111,8 +111,8 @@ class ChainLink:
         self.s_a = self.parameter_of(self.a)
         self.s_b = self.parameter_of(self.b)
         tol = 1e-6
-        if (np.abs(self.map_point(self.a) - self.start_point).max() > tol
-                or np.abs(self.map_point(self.b) - self.end_point).max() > tol):
+        if (np.abs(self.geodesic.position(self.s_a) - self.start_point).max() > tol
+                or np.abs(self.geodesic.position(self.s_b) - self.end_point).max() > tol):
             raise ConstructionError("chart endpoints do not reproduce the link waypoints")
 
     @property
@@ -230,9 +230,11 @@ class PseudoDistanceReport:
     because the chart family drives single-link values toward zero and the
     canonical member is the reproducible reference; `canonical_chain` is
     that member's single-link chain, kept for the checkers and left out of
-    the dict. Lower-bound fields are filled only when a Ricci-bound constant
-    is supplied and its hypothesis check passes; the inequality comparisons
-    are recorded, not enforced.
+    the dict. `estimate_cap_bound` is set when a link of `chain` took its
+    chart member from a golden bracket ending at +-TAU_MAX: the estimate
+    then measures the search's reach, not the pair. Lower-bound fields are
+    filled only when a Ricci-bound constant is supplied and its hypothesis
+    check passes; the inequality comparisons are recorded, not enforced.
     """
 
     x: np.ndarray
@@ -249,6 +251,7 @@ class PseudoDistanceReport:
     estimate_above_lower_bound: bool | None = None
     canonical_above_lower_bound: bool | None = None
     canonical_chain: Chain | None = None
+    estimate_cap_bound: bool = False
 
     def to_dict(self):
         chain = None
@@ -262,6 +265,7 @@ class PseudoDistanceReport:
             "x": np.asarray(self.x).tolist(),
             "y": np.asarray(self.y).tolist(),
             "estimate": self.estimate,
+            "estimate_cap_bound": self.estimate_cap_bound,
             "canonical_value": self.canonical_value,
             "chain": chain,
             "evaluations": self.evaluations,
@@ -331,22 +335,26 @@ def _golden_min(fn, lo, hi, iterations, record):
     return min(fc, fd)
 
 
-def _single_link_search(metric, x, y, options):
-    """Best single-segment chain from x to y over the admissible chart family."""
+def _line(metric, x, y, options):
+    """The geodesic from x to y, its maximal extension and its projective
+    parameter normalized at x."""
     bvp = connect(metric, x, y, tol=options.bvp_tolerance)
-    L = bvp.segment.length
-    dir0 = bvp.segment.velocity(0.0)
-    cap = max(options.extension_cap, L + 1.0)
-    ext = extend_geodesic(metric, x, dir0, cap=cap)
-    par = projective_parameter(metric, ext)
-    lo_chart, hi_chart = par.chart_interval(0.0)
-    if not lo_chart <= L <= hi_chart:
-        attainable = par.chart_range(0.0)
+    cap = max(options.extension_cap, bvp.segment.length + 1.0)
+    ext = extend_geodesic(metric, x, bvp.segment.velocity(0.0), cap=cap)
+    return bvp, ext, projective_parameter(metric, ext)
+
+
+def _link_search(ext, par, s_a, s_b, x, y, options):
+    """Best link from x = ext(s_a) to y = ext(s_b) over the admissible chart
+    family of the chart through par.s0."""
+    lo_chart, hi_chart = par.chart_interval(par.s0)
+    if not (lo_chart <= s_a <= hi_chart and lo_chart <= s_b <= hi_chart):
+        attainable = par.chart_range(par.s0)
         raise InadmissibleChartError(
             f"no single Moebius chart covers both endpoints; the chart through "
             f"the source spans parameters {attainable}", attainable_range=attainable)
-    p_x = par.value(0.0)
-    p_y = par.value(L)
+    p_x = par.value(s_a)
+    p_y = par.value(s_b)
     base = _canonical_chart(par, p_x, p_y)
 
     state = {"evals": 0, "candidates": []}
@@ -403,8 +411,15 @@ def _single_link_search(metric, x, y, options):
         "chain": chain,
         "canonical_chain": materialize(0.0, False),
         "evaluations": state["evals"],
-        "bvp": bvp,
     }
+
+
+def _cap_bound(chain) -> bool:
+    """Whether some link's accepted chart member comes from a golden bracket
+    that ends at +-TAU_MAX, where the interval Funk length keeps falling
+    toward the search's reach."""
+    return any(link.stages is not None and abs(link.stages[1]) > TAU_MAX / 3.0
+               for link in chain.links)
 
 
 def pseudo_distance_upper(metric, x, y, options: PseudoDistanceOptions | None = None
@@ -414,9 +429,12 @@ def pseudo_distance_upper(metric, x, y, options: PseudoDistanceOptions | None = 
     Builds the single-segment chain through the connecting geodesic and
     minimizes the interval Funk length over the admissible chart family
     (hyperbolic translations of the interval plus the orientation swap) by
-    golden-section search; optional subdivision into up to 4 segments with
-    waypoint coordinate descent. The result over-estimates the chain infimum
-    by construction. Increasing the budget never increases the estimate.
+    golden-section search. With segments=m it also splits the geodesic at
+    m - 1 equally spaced waypoints, for every m up to the requested depth,
+    and searches each sub-link on the same extension and projective
+    parameter; the smallest total wins. The result over-estimates the chain
+    infimum by construction. Increasing the budget never increases the
+    estimate.
     """
     options = options or PseudoDistanceOptions()
     x = metric.check_point(as_coords(x))
@@ -428,43 +446,36 @@ def pseudo_distance_upper(metric, x, y, options: PseudoDistanceOptions | None = 
                                     chain=chain, evaluations=0, budget=options.budget,
                                     geodesic_distance=0.0, canonical_chain=chain)
 
-    single = _single_link_search(metric, x, y, options)
+    bvp, ext, par = _line(metric, x, y, options)
+    seg = bvp.segment
+    L = seg.length
+    single = _link_search(ext, par, 0.0, L, x, y, options)
     best = single["best"]
-    canonical = single["canonical"]
     chain = single["chain"]
     evaluations = single["evaluations"]
 
-    if options.segments > 1:
-        seg = single["bvp"].segment
-        L = seg.length
-        sub_options = replace(options, segments=1)
-        for m in range(2, options.segments + 1):
-            fractions = np.linspace(0.0, 1.0, m + 1)
-            waypoints = [seg.position(f * L) for f in fractions]
-            links = []
-            total = 0.0
-            ok = True
-            for w0, w1 in zip(waypoints, waypoints[1:]):
-                try:
-                    sub = _single_link_search(metric, np.asarray(w0), np.asarray(w1),
-                                              sub_options)
-                except (InadmissibleChartError, ChartError):
-                    ok = False
-                    break
-                links.append(sub["chain"].links[0])
-                total += sub["best"]
-                evaluations += sub["evaluations"]
-            if ok and total < best:
-                best = total
-                chain = Chain(links=links, waypoints=list(waypoints))
+    for m in range(2, options.segments + 1):
+        fractions = np.linspace(0.0, 1.0, m + 1)
+        waypoints = [seg.position(f * L) for f in fractions]
+        links = []
+        total = 0.0
+        for f0, f1, w0, w1 in zip(fractions, fractions[1:], waypoints, waypoints[1:]):
+            sub = _link_search(ext, par, f0 * L, f1 * L, w0, w1, options)
+            links.append(sub["chain"].links[0])
+            total += sub["best"]
+            evaluations += sub["evaluations"]
+        if total < best:
+            best = total
+            chain = Chain(links=links, waypoints=list(waypoints))
 
-    report = PseudoDistanceReport(x=x, y=y, estimate=best, canonical_value=canonical,
+    report = PseudoDistanceReport(x=x, y=y, estimate=best,
+                                  canonical_value=single["canonical"],
                                   chain=chain, evaluations=evaluations,
-                                  budget=options.budget,
-                                  geodesic_distance=single["bvp"].segment.length,
-                                  canonical_chain=single["canonical_chain"])
+                                  budget=options.budget, geodesic_distance=L,
+                                  canonical_chain=single["canonical_chain"],
+                                  estimate_cap_bound=_cap_bound(chain))
     if options.c is not None:
-        _attach_lower_bounds(metric, report, single["bvp"].segment, options)
+        _attach_lower_bounds(metric, report, seg, options)
     return report
 
 

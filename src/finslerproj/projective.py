@@ -2,11 +2,12 @@
 normal parameter of a geodesic.
 
 The parameter pi solves {pi, s} = q with q = 2 Ric / (n - 1) along a
-unit-speed geodesic. The third-order Schwarzian equation is never integrated
+unit-speed geodesic. The third-order Schwarzian equation is never solved
 directly: with w'' + q w / 2 = 0 and basis solutions w1(s0)=0, w1'(s0)=1,
 w2(s0)=1, w2'(s0)=0, the ratio pi = w1/w2 solves it with pi(s0) = 0,
-pi'(s0) = 1, and the Moebius freedom is exactly the freedom of basis. Poles
-of w2 split the segment into Moebius charts.
+pi'(s0) = 1, and the Moebius freedom is exactly the freedom of basis. q is a
+spline, so the linear equation is solved exactly piece by piece by power
+series. Poles of w2 split the segment into Moebius charts.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy import integrate, interpolate, optimize
+from scipy import interpolate, optimize
 
 from .curvature import ricci_scalar_batch
 from .diffengine import Jet
@@ -196,28 +197,44 @@ def check_composition(f, g, t, *, step=0.02) -> float:
 # ======================================================================
 
 class ProjectiveParameter:
-    """Sampled projective normal parameter along a geodesic segment.
+    """Projective normal parameter along a geodesic segment, exact piece by piece.
 
-    Carries the curvature samples q(s), the dense basis solutions (w1, w2)
-    with their derivatives, the pole locations of w2, and evaluation of
-    pi = w1/w2 with its derivative. pi is Moebius-chart-valid only between
-    consecutive poles.
+    Carries the curvature samples q(s), the basis solutions (w1, w2) with
+    their derivatives as one power series per piece, the pole locations of
+    w2, and evaluation of pi = w1/w2 with its derivative. pi is
+    Moebius-chart-valid only between consecutive poles.
     """
 
-    def __init__(self, segment, s0, s_grid, q_values, sol, poles):
+    def __init__(self, segment, s0, s_grid, q_values, breaks, coefs):
         self.segment = segment
         self.s0 = float(s0)
         self.s_grid = np.asarray(s_grid)
         self.q_values = np.asarray(q_values)
-        self._sol = sol
-        self.poles = list(poles)
-        self._w2_scale = max(1.0, max(abs(w2) for w2 in sol.sol(self.s_grid)[2].tolist()))
+        self._breaks = breaks   # (P + 1,) piece ends
+        self._widths = np.diff(breaks)
+        self._coefs = coefs     # (P, 4, M): basis rows in powers of the local u in [0, 1]
+        self._w2_scale = max(1.0, float(np.abs(self.basis(self.s_grid)[2]).max()))
+        # a piece holds at most one zero of w2, so sign changes find them all
+        w2 = self.basis(breaks)[2]
+        self.poles = []
+        for a, b, fa, fb in zip(breaks, breaks[1:], w2, w2[1:]):
+            if fa == 0.0:
+                self.poles.append(float(a))
+            elif fa * fb < 0.0:
+                self.poles.append(_root(lambda s: self.basis(s)[2], a, b))
 
     # -- raw solutions ----------------------------------------------------
 
     def basis(self, s):
-        """(w1, w1', w2, w2') at s."""
-        return np.asarray(self._sol.sol(float(s)), dtype=float)
+        """(w1, w1', w2, w2') at s; a (4, N) array for an array of N values."""
+        ss = np.asarray(s, dtype=float)
+        flat = np.atleast_1d(ss)
+        x = self._breaks
+        i = np.searchsorted(x[1:-1], flat, side="right")
+        powers = np.vander((flat - x[i]) / self._widths[i], self._coefs.shape[2],
+                           increasing=True)
+        out = (self._coefs[i] * powers[:, None, :]).sum(axis=2).T
+        return out[:, 0] if ss.ndim == 0 else out
 
     def wronskian_drift(self, max_scale=1e3, points=200) -> float:
         """Worst deviation of the Wronskian from its initial value 1.
@@ -226,13 +243,9 @@ class ProjectiveParameter:
         the bilinear form w1' w2 - w1 w2' sits on the floating-point
         cancellation floor and conservation is no longer observable.
         """
-        worst = 0.0
-        for s in np.linspace(self.s_min, self.s_max, points):
-            w = self.basis(s)
-            if np.abs(w).max() > max_scale:
-                continue
-            worst = max(worst, abs(float(w[1] * w[2] - w[0] * w[3]) - 1.0))
-        return worst
+        w = self.basis(np.linspace(self.s_min, self.s_max, points))
+        drift = np.abs(w[1] * w[2] - w[0] * w[3] - 1.0)
+        return float(drift[np.abs(w).max(axis=0) <= max_scale].max(initial=0.0))
 
     # -- charts -------------------------------------------------------------
 
@@ -282,7 +295,6 @@ class ProjectiveParameter:
         Pole ends map to +-inf according to the sign of the approach.
         """
         lo, hi = self.chart_interval(s)
-        eps = 1e-9 * max(1.0, abs(hi - lo))
         if any(abs(lo - p) < 1e-12 for p in self.poles):
             left = -math.inf if self.derivative(s) > 0 else math.inf
         else:
@@ -296,29 +308,30 @@ class ProjectiveParameter:
         return float(left), float(right)
 
     def solve_value(self, target, s_hint) -> float:
-        """Invert pi on the chart containing s_hint (pi is monotone there)."""
+        """Invert pi on the chart containing s_hint (pi is monotone there).
+
+        The root of w1 - target w2, which stays finite at pole ends, on the
+        piece where it changes sign.
+        """
         lo, hi = self.chart_interval(s_hint)
-        width = hi - lo
-        f = lambda s: self.value(s) - target
-
-        def end_value(end, inward):
-            pad = 1e-12 * max(1.0, abs(end))
-            for _ in range(60):
-                try:
-                    return end + inward * pad, f(end + inward * pad)
-                except ChartError:
-                    pad = max(pad * 8.0, 1e-9 * width)
-            raise ChartError("chart end is numerically unreachable")
-
-        lo, flo = end_value(lo, +1.0)
-        hi, fhi = end_value(hi, -1.0)
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if flo * fhi > 0:
+        x = self._breaks
+        ends = np.concatenate([[lo], x[(x > lo) & (x < hi)], [hi]])
+        w = self.basis(ends)
+        g = w[0] - target * w[2]
+        change = np.flatnonzero(g[:-1] * g[1:] <= 0.0)
+        if change.size == 0:
             raise ChartError(f"target {target} outside the chart range")
-        return float(optimize.brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
+        j = int(change[0])
+
+        def f(s):
+            w1, _, w2, _ = self.basis(s)
+            return float(w1 - target * w2)
+
+        return _root(f, ends[j], ends[j + 1])
+
+
+def _root(f, a, b) -> float:
+    return float(optimize.brentq(f, a, b, xtol=1e-14, rtol=8.9e-16))
 
 
 def _q_window(metric, segment, margin_fraction=1e-6, drift_limit=1e-6):
@@ -360,15 +373,23 @@ def _q_window(metric, segment, margin_fraction=1e-6, drift_limit=1e-6):
     return float(ss[a]), float(ss[b])
 
 
+# degree of the power series of w on each piece; with h sqrt(max|q| / 2) <= 1
+# the first dropped term is of order 1/25! of the basis
+SERIES_DEGREE = 24
+
+
 def projective_parameter(metric, segment: GeodesicSegment, *, s0=0.0,
-                         q_step=0.25, tol=1e-12) -> ProjectiveParameter:
+                         q_step=0.25) -> ProjectiveParameter:
     """Solve for the projective normal parameter along a unit-speed segment.
 
-    q(s) = 2 Ric(x(s), x'(s)) / (n - 1) is sampled on a uniform grid, splined,
-    and the linear system w'' = -q w / 2 is integrated densely for both basis
-    solutions. Normalization: pi(s0) = 0, pi'(s0) = 1. On the sliver where
-    the segment runs closer to the domain boundary than the curvature
-    stencils allow, q is held at its nearest sampled value.
+    q(s) = 2 Ric(x(s), x'(s)) / (n - 1) is sampled on a uniform grid and
+    splined; on the sliver where the segment runs closer to the domain
+    boundary than the curvature stencils allow, q is held at the spline's
+    value at the nearest window end. On each spline piece q is a polynomial,
+    so w'' = -q w / 2 is solved there exactly by power series (the Taylor
+    method), on pieces short enough that w2 has at most one zero on each
+    (Sturm separation). The pieces are chained by 2x2 transfer matrices
+    outward from s0, where pi(s0) = 0 and pi'(s0) = 1.
     """
     n = metric.dimension
     lo, hi = segment.s_min, segment.s_max
@@ -382,58 +403,51 @@ def projective_parameter(metric, segment: GeodesicSegment, *, s0=0.0,
     k = min(5, count - 1)
     q_spline = interpolate.make_interp_spline(s_grid, q_values, k=k)
 
-    def rhs(s, w):
-        q = float(q_spline(min(max(s, q_lo), q_hi)))
-        return [w[1], -0.5 * q * w[0], w[3], -0.5 * q * w[2]]
+    def scaled_taylor(starts, h):
+        """Coefficients Q_i h^i of q(start + h u) in powers of u, clamped
+        to a constant outside the window."""
+        inside = (starts >= q_lo) & (starts < q_hi)
+        at = np.clip(starts, q_lo, q_hi)
+        return np.stack([q_spline(at)] + [
+            np.where(inside, q_spline(at, nu=i), 0.0) * h ** i / math.factorial(i)
+            for i in range(1, k + 1)], axis=1)
 
-    spans = []
-    if hi > s0:
-        spans.append((s0, hi))
-    if lo < s0:
-        spans.append((s0, lo))
-    sols = {}
-    for a, b in spans:
-        sols[b] = integrate.solve_ivp(rhs, (a, b), [0.0, 1.0, 1.0, 0.0],
-                                      method="DOP853", rtol=tol, atol=tol * 1e-1,
-                                      dense_output=True)
+    knots = q_spline.t[(q_spline.t >= q_lo) & (q_spline.t <= q_hi)]
+    base = np.unique(np.concatenate([knots, [lo, hi, s0]]))
+    h = np.diff(base)
+    bound = np.abs(scaled_taylor(base[:-1], h)).sum(axis=1)    # >= max |q| on the piece
+    splits = np.maximum(1, np.ceil(h * np.sqrt(0.5 * bound))).astype(int)
+    breaks = np.concatenate([np.linspace(a, b, m, endpoint=False)
+                             for a, b, m in zip(base, base[1:], splits)] + [[hi]])
 
-    class _Glue:
-        def __init__(self, fw, bw, s0):
-            self.fw = fw
-            self.bw = bw
-            self.s0 = s0
+    # unit solutions (w, w') = (1, 0) and (0, 1) at each piece start, in u
+    h = np.diff(breaks)
+    Q = scaled_taylor(breaks[:-1], h)
+    M = SERIES_DEGREE + 1
+    d = np.zeros((h.size, 2, M))
+    d[:, 0, 0] = 1.0
+    d[:, 1, 1] = h
+    for m in range(M - 2):
+        j = min(m, k)
+        conv = (Q[:, None, :j + 1] * d[:, :, m - j:m + 1][:, :, ::-1]).sum(axis=2)
+        d[:, :, m + 2] = -0.5 * (h * h)[:, None] * conv / ((m + 2) * (m + 1))
+    dd = np.zeros_like(d)
+    dd[:, :, :-1] = d[:, :, 1:] * np.arange(1, M) / h[:, None, None]
+    unit = np.stack([d, dd], axis=1)          # (P, value/slope, A/B, M)
+    transfer = unit.sum(axis=3)               # (P, 2, 2), determinant 1
 
-        def sol(self, s):
-            if np.ndim(s) == 0:
-                sol = self.fw if s >= self.s0 else self.bw
-                if sol is None:
-                    return np.array([0.0, 1.0, 1.0, 0.0])
-                return sol.sol(s)
-            s = np.atleast_1d(s)
-            out = np.empty((4, s.size))
-            fwd = s >= self.s0
-            for side, sol in ((fwd, self.fw), (~fwd, self.bw)):
-                if side.any():
-                    out[:, side] = ([[0.0], [1.0], [1.0], [0.0]] if sol is None
-                                    else sol.sol(s[side]))
-            return out
-
-    fw = sols.get(hi)
-    bw = sols.get(lo)
-    glue = _Glue(fw, bw, s0)
-
-    # pole locations: sign changes of w2 on a fine grid, refined by brentq
-    fine = np.linspace(lo, hi, max(4 * count, 257))
-    w2_vals = glue.sol(fine)[2]
-    poles = []
-    for i in range(len(fine) - 1):
-        a, b = w2_vals[i], w2_vals[i + 1]
-        if a == 0.0:
-            poles.append(float(fine[i]))
-        elif a * b < 0:
-            poles.append(float(optimize.brentq(
-                lambda s: float(glue.sol(s)[2]), fine[i], fine[i + 1], xtol=1e-13)))
-    return ProjectiveParameter(segment, s0, s_grid, q_values, glue, poles)
+    # states [[w1, w2], [w1', w2']] at the breaks, propagated outward from s0;
+    # backward through the adjugate, never by inverting a fundamental matrix
+    k0 = int(np.searchsorted(breaks, s0))
+    S = np.empty((breaks.size, 2, 2))
+    S[k0] = [[0.0, 1.0], [1.0, 0.0]]
+    for i in range(k0, h.size):
+        S[i + 1] = transfer[i] @ S[i]
+    for i in range(k0 - 1, -1, -1):
+        (a, b), (c, e) = transfer[i]
+        S[i] = np.array([[e, -b], [-c, a]]) @ S[i + 1]
+    coefs = np.einsum("pjc,prjm->pcrm", S[:-1], unit).reshape(h.size, 4, M)
+    return ProjectiveParameter(segment, s0, s_grid, q_values, breaks, coefs)
 
 
 # ======================================================================

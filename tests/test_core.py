@@ -43,13 +43,13 @@ class TestPoints:
     def test_point_validation(self):
         p = Point(np.array([0.1, 0.2]))
         assert len(p) == 2
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             Point(np.array([np.inf, 0.0]))
 
     def test_tangent_vector_shape(self):
         p = Point(np.array([0.1, 0.2]))
         TangentVector(p, np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             TangentVector(p, np.array([1.0, 0.0, 0.0]))
 
 

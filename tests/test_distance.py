@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from finslerproj import distance
 from finslerproj.distance import (Chain, ChainLink, IntervalPair,
                                   PseudoDistanceOptions, corollary_check, funk_distance_interval,
                                   positivity_probe, pseudo_distance_upper,
@@ -197,6 +198,34 @@ class TestPseudoDistance:
                                   PseudoDistanceOptions(extension_cap=4.0,
                                                         bvp_tolerance=1e-6))
         assert info.value.attainable_range is not None
+
+    def test_subdivision_reuses_the_parent_line(self, klein2, monkeypatch):
+        calls = []
+        for name in ("connect", "extend_geodesic", "projective_parameter"):
+            original = getattr(distance, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(distance, name, counting)
+        report = pseudo_distance_upper(klein2, [0.1, 0.2], [-0.3, 0.4],
+                                       PseudoDistanceOptions(budget=12, segments=4))
+        assert sorted(calls) == ["connect", "extend_geodesic", "projective_parameter"]
+        for link in report.chain.links:
+            assert link.parameter is report.canonical_chain.links[0].parameter
+
+    def test_cap_bound_flag(self, klein2):
+        # the Funk chart search runs into its reach +-TAU_MAX on this pair
+        report = pseudo_distance_upper(klein2, [0.1, 0.2], [-0.3, 0.4],
+                                       PseudoDistanceOptions(budget=48))
+        assert report.estimate_cap_bound is True
+        assert report.to_dict()["estimate_cap_bound"] is True
+        split = pseudo_distance_upper(klein2, [0.1, 0.2], [-0.3, 0.4],
+                                      PseudoDistanceOptions(budget=12, segments=2))
+        assert split.estimate_cap_bound is True
+        same = pseudo_distance_upper(klein2, [0.1, 0.2], [0.1, 0.2])
+        assert same.estimate_cap_bound is False
 
     def test_canonical_chain_kept_off_the_dict(self, klein2):
         report = pseudo_distance_upper(klein2, [0.1, 0.2], [-0.3, 0.4])

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, interpolate
 
+from finslerproj import projective
 from finslerproj.diffengine import Jet
 from finslerproj.errors import (ChartError, ConstructionError, CriticalPointError,
                                DomainError, PoleError)
 from finslerproj.geodesics import extend_geodesic
-from finslerproj.metrics import RiemannianMetric, RiemannianSpec
+from finslerproj.metrics import (EuclideanMetric, RiemannianMetric, RiemannianSpec,
+                                 funk_ball, klein_metric)
 from finslerproj.projective import (MobiusTransform, check_composition,
                                     cross_ratio, invariance_cross_check,
                                     projective_parameter, schwarzian,
@@ -236,8 +239,8 @@ class TestProjectiveParameter:
         seg = extend_geodesic(sphere, [0.0, 0.0], [1.0, 0.0], cap=2.5)
         par = projective_parameter(sphere, seg, s0=0.3)
         ss = np.linspace(seg.s_min, seg.s_max, 57)
-        stacked = np.column_stack([par._sol.sol(s) for s in ss])
-        assert [v.hex() for v in par._sol.sol(ss).ravel().tolist()] == \
+        stacked = np.column_stack([par.basis(s) for s in ss])
+        assert [v.hex() for v in par.basis(ss).ravel().tolist()] == \
             [v.hex() for v in stacked.ravel().tolist()]
 
     def test_solve_value_inverts(self, klein2):
@@ -245,6 +248,67 @@ class TestProjectiveParameter:
         par = projective_parameter(klein2, seg)
         s = par.solve_value(0.5, 0.0)
         assert s == pytest.approx(math.atanh(0.5), abs=1e-9)
+
+
+def warped_klein():
+    """The black-box Klein tensor times 1 + 0.3 x0: q varies along geodesics."""
+    def g(x):
+        phi = 1.0 - float(x @ x)
+        return (np.eye(len(x)) / phi + np.outer(x, x) / phi ** 2) * (1.0 + 0.3 * x[0])
+
+    return RiemannianMetric(RiemannianSpec(
+        dimension=2, metric_provider=g, domain_provider=lambda x: 1.0 - float(x @ x),
+        name="warped-klein"))
+
+
+class TestPiecewiseSeries:
+    @pytest.mark.parametrize("metric, w", [(klein_metric(2), 1.0), (funk_ball(2), 0.5)])
+    def test_constant_curvature_basis_is_closed_form(self, metric, w):
+        # q = -2 w^2: w1 = sinh(w s) / w, w2 = cosh(w s), over the whole
+        # extension, the slivers where q is clamped included
+        seg = extend_geodesic(metric, [0.1, 0.2], [0.3, -0.4])
+        par = projective_parameter(metric, seg)
+        assert par.s_grid[-1] < seg.s_max - 1.0
+        ss = np.linspace(seg.s_min, seg.s_max, 1001)
+        exact = np.array([np.sinh(w * ss) / w, np.cosh(w * ss),
+                          np.cosh(w * ss), w * np.sinh(w * ss)])
+        assert np.abs(par.basis(ss) - exact).max() <= 1e-13 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("s0", [0.0, 0.37])
+    def test_constant_positive_q_poles(self, monkeypatch, s0):
+        # q = 18 everywhere: w2 = cos(3 (s - s0)); pieces of the 4-unit grid
+        # would hold two zeros each unless they are split
+        monkeypatch.setattr(projective, "ricci_scalar_batch",
+                            lambda metric, X, Y: np.full(len(X), 9.0))
+        eucl = EuclideanMetric(2)
+        seg = extend_geodesic(eucl, [0.0, 0.0], [1.0, 0.0], cap=10.0)
+        par = projective_parameter(eucl, seg, s0=s0, q_step=4.0)
+        omega = 3.0
+        expected = [s0 + (2 * j + 1) * math.pi / (2 * omega) for j in range(-12, 12)]
+        expected = [p for p in expected if seg.s_min < p < seg.s_max]
+        assert len(par.poles) == len(expected)
+        assert np.abs(np.array(par.poles) - expected).max() <= 1e-12
+
+    def test_varying_q_matches_ode_oracle(self):
+        metric = warped_klein()
+        seg = extend_geodesic(metric, [0.1, 0.2], [0.3, -0.4], cap=6.0)
+        par = projective_parameter(metric, seg)
+        q_lo, q_hi = par.s_grid[0], par.s_grid[-1]
+        assert seg.s_min < q_lo and q_hi < seg.s_max      # clamped slivers on both sides
+        spline = interpolate.make_interp_spline(par.s_grid, par.q_values,
+                                                k=min(5, len(par.s_grid) - 1))
+
+        def rhs(s, w):
+            q = float(spline(min(max(s, q_lo), q_hi)))
+            return [w[1], -0.5 * q * w[0], w[3], -0.5 * q * w[2]]
+
+        ss = np.linspace(seg.s_min, seg.s_max, 101)
+        oracle = np.empty((4, ss.size))
+        for side, end in ((ss >= 0.0, seg.s_max), (ss < 0.0, seg.s_min)):
+            sol = integrate.solve_ivp(rhs, (0.0, end), [0.0, 1.0, 1.0, 0.0], method="DOP853",
+                                      rtol=1e-13, atol=1e-15, dense_output=True)
+            oracle[:, side] = sol.sol(ss[side])
+        assert np.abs(par.basis(ss) - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
 class TestInvarianceCrossCheck:
