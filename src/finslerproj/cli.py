@@ -31,16 +31,21 @@ METRIC_KINDS = ("euclidean", "klein", "funk-ball", "funk-quadratic",
                 "randers", "interval-funk")
 
 
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON-serializable: {type(value)}")
+def _json_ready(value):
+    """Strict JSON data: numpy as Python, a non-finite float as "nan"/"inf"/"-inf"."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {key: _json_ready(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    return value
 
 
 def dump_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+    return json.dumps(_json_ready(payload), sort_keys=True, indent=2, allow_nan=False)
 
 
 def _fmt(value) -> str:

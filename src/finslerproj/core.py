@@ -74,16 +74,22 @@ class FinslerMetric:
     supports_jets: bool = True
     spray_supports_jets: bool = False
     name: str = "finsler"
-    # True only where `_norm_impl` is the library's own arithmetic, which
-    # also takes (N,) arrays of entries; user providers are promised floats
+    # True only where `_norm_impl` is the library's own arithmetic, which also
+    # takes lists of floats or (N,) arrays; user providers get float arrays
     _norm_takes_columns: bool = False
 
     # -- evaluation ------------------------------------------------------
 
     def norm(self, x, y) -> float:
-        """F(x, y), validated: x inside the domain, y nonzero."""
+        """F(x, y), validated: x inside the domain, y nonzero. Shipped closed
+        forms run on Python floats, bit for bit their values on arrays."""
         x, y = self.check_line_element(x, y)
-        return float(self._norm_impl(x, y))
+        if not self._norm_takes_columns:
+            return float(self._norm_impl(x, y))
+        try:
+            return float(self._norm_impl(x.tolist(), y.tolist()))
+        except ZeroDivisionError:  # the closed form's own phi rounded to 0
+            raise DomainError(f"{self.name}: x={x.tolist()} is on the boundary") from None
 
     def norm_batch(self, X, Y) -> np.ndarray:
         """F at N line elements given as (N, n) stacks X, Y; element k equals

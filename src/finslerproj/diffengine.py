@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import AccuracyError, ConvexityError
+from .errors import AccuracyError, ConstructionError, ConvexityError
 
 _EPS = float(np.finfo(float).eps)
 
@@ -55,7 +55,7 @@ class Jet:
     @classmethod
     def variable(cls, value, order, level=1):
         if order < 1:
-            raise ValueError("jet order must be at least 1")
+            raise ConstructionError("jet order must be at least 1")
         return cls([value, 1.0] + [0.0] * (order - 1), level)
 
     @property
@@ -276,7 +276,7 @@ def extract_coefficient(value, level, order):
     if not isinstance(value, Jet) or value.level < level:
         return value if order == 0 else 0.0
     if value.level > level:
-        raise ValueError("extract levels from the highest down")
+        raise ConstructionError("extract levels from the highest down")
     return _at(value.coef, order)
 
 

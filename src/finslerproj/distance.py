@@ -57,11 +57,12 @@ def funk_distance_interval(a, b=None, k=1.0) -> float:
     equals ln((1-a)/(1-b))/k forward and ln((1+a)/(1+b))/k backward, the
     oriented line integrals of the interval Funk norm.
     """
-    if isinstance(a, IntervalPair):
-        pair = a
-    else:
-        pair = IntervalPair(float(a), float(b), float(k))
-    a, b, k = pair.a, pair.b, pair.k
+    pair = a if isinstance(a, IntervalPair) else IntervalPair(float(a), float(b), float(k))
+    return _funk_interval(pair.a, pair.b, pair.k)
+
+
+def _funk_interval(a, b, k) -> float:
+    """The closed form of funk_distance_interval on validated floats."""
     if a == b:
         return 0.0
     odd = math.log((1.0 - a) * (1.0 + b) / ((1.0 - b) * (1.0 + a)))
@@ -108,12 +109,15 @@ class ChainLink:
             self.s_a = self.s_b = 0.0
             return
         self._validate_chart()
-        self.s_a = self.parameter_of(self.a)
-        self.s_b = self.parameter_of(self.b)
-        tol = 1e-6
-        if (np.abs(self.geodesic.position(self.s_a) - self.start_point).max() > tol
-                or np.abs(self.geodesic.position(self.s_b) - self.end_point).max() > tol):
+        # rejected chart-search candidates mostly miss the start: check it first
+        self.s_a = self._waypoint_parameter(self.a, self.start_point)
+        self.s_b = self._waypoint_parameter(self.b, self.end_point)
+
+    def _waypoint_parameter(self, u, point) -> float:
+        s = self.parameter_of(u)
+        if np.abs(self.geodesic.position(s) - point).max() > 1e-6:
             raise ConstructionError("chart endpoints do not reproduce the link waypoints")
+        return s
 
     @property
     def degenerate(self) -> bool:
@@ -301,20 +305,6 @@ def _chart_family_member(base: MobiusTransform, tau, swapped) -> MobiusTransform
     return m
 
 
-def _family_pullback(base: MobiusTransform, tau, swapped, p):
-    """Endpoint of the chart member at p, evaluated in stable stages.
-
-    Composing the Moebius matrices first would normalize by the near-zero
-    determinant of extreme translations and lose the endpoint precision the
-    chain-link validation needs; the staged affine / translation / swap
-    pipeline has no such cancellation.
-    """
-    u = base.inverse().apply(p)
-    lam = math.tanh(tau)
-    u = (u - lam) / (1.0 - lam * u)
-    return -u if swapped else u
-
-
 def _golden_min(fn, lo, hi, iterations, record):
     """Golden-section minimization; every evaluation goes through `record`."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -344,9 +334,9 @@ def _line(metric, x, y, options):
     return bvp, ext, projective_parameter(metric, ext)
 
 
-def _link_search(ext, par, s_a, s_b, x, y, options):
+def _link_search(ext, par, s_a, s_b, x, y, options, canonical_chain=False):
     """Best link from x = ext(s_a) to y = ext(s_b) over the admissible chart
-    family of the chart through par.s0."""
+    family of the chart through par.s0, and the canonical chain if asked."""
     lo_chart, hi_chart = par.chart_interval(par.s0)
     if not (lo_chart <= s_a <= hi_chart and lo_chart <= s_b <= hi_chart):
         attainable = par.chart_range(par.s0)
@@ -356,15 +346,23 @@ def _link_search(ext, par, s_a, s_b, x, y, options):
     p_x = par.value(s_a)
     p_y = par.value(s_b)
     base = _canonical_chart(par, p_x, p_y)
+    u_x, u_y = map(base.inverse().apply, (p_x, p_y))
+
+    def pullback(tau, swapped):
+        """Endpoints (a, b) of the chart member, staged: the composed matrix
+        loses to cancellation at extreme translations what validation needs."""
+        lam = math.tanh(tau)
+        a = (u_x - lam) / (1.0 - lam * u_x)
+        b = (u_y - lam) / (1.0 - lam * u_y)
+        return (-a, -b) if swapped else (a, b)
 
     state = {"evals": 0, "candidates": []}
 
     def objective(tau, swapped):
-        a = _family_pullback(base, tau, swapped, p_x)
-        b = _family_pullback(base, tau, swapped, p_y)
+        a, b = pullback(tau, swapped)
         if not (abs(a) < 1.0 and abs(b) < 1.0):
             return math.inf
-        return funk_distance_interval(a, b, options.k)
+        return _funk_interval(a, b, options.k)
 
     def record(fn, tau):
         state["evals"] += 1
@@ -385,11 +383,11 @@ def _link_search(ext, par, s_a, s_b, x, y, options):
             _golden_min(fn, lo, hi, options.budget, record)
 
     def materialize(tau, swapped):
-        chart = _chart_family_member(base, tau, swapped)
-        link = ChainLink(geodesic=ext, parameter=par, chart=chart,
-                         a=_family_pullback(base, tau, swapped, p_x),
-                         b=_family_pullback(base, tau, swapped, p_y), k=options.k,
-                         start_point=x, end_point=y, stages=(base, tau, swapped))
+        a, b = pullback(tau, swapped)
+        link = ChainLink(geodesic=ext, parameter=par,
+                         chart=_chart_family_member(base, tau, swapped), a=a, b=b,
+                         k=options.k, start_point=x, end_point=y,
+                         stages=(base, tau, swapped))
         return Chain(links=[link], waypoints=[x, y])
 
     # best candidate whose chain passes the endpoint validation
@@ -409,7 +407,7 @@ def _link_search(ext, par, s_a, s_b, x, y, options):
         "best": best,
         "canonical": canonical,
         "chain": chain,
-        "canonical_chain": materialize(0.0, False),
+        "canonical_chain": materialize(0.0, False) if canonical_chain else None,
         "evaluations": state["evals"],
     }
 
@@ -449,7 +447,7 @@ def pseudo_distance_upper(metric, x, y, options: PseudoDistanceOptions | None = 
     bvp, ext, par = _line(metric, x, y, options)
     seg = bvp.segment
     L = seg.length
-    single = _link_search(ext, par, 0.0, L, x, y, options)
+    single = _link_search(ext, par, 0.0, L, x, y, options, canonical_chain=True)
     best = single["best"]
     chain = single["chain"]
     evaluations = single["evaluations"]

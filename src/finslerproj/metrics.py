@@ -246,8 +246,9 @@ def _funk_theta(alpha, beta, gamma, x, y):
     Entries that are (N,) arrays, or jets over them, evaluate N line elements
     at once, each element taking its own branch.
     """
-    p = _dot(x, _mat_vec(alpha, x)) + 2.0 * _dot(beta, x) + gamma
-    w = [wi + bi for wi, bi in zip(_mat_vec(alpha, x), beta)]
+    ax = _mat_vec(alpha, x)
+    p = _dot(x, ax) + 2.0 * _dot(beta, x) + gamma
+    w = [wi + bi for wi, bi in zip(ax, beta)]
     wy = _dot(w, y)
     ayy = _dot(y, _mat_vec(alpha, y))
     radicand = wy * wy - ayy * p
@@ -280,6 +281,8 @@ class QuadraticFunkMetric(FinslerMetric):
         self.spec = spec
         self.dimension = spec.dimension
         self.domain_scale = spec.gamma
+        # Python floats: numpy scalars' IEEE results without their overhead
+        self._alpha, self._beta = spec.alpha.tolist(), spec.beta.tolist()
 
     def domain_value(self, x):
         return self.spec.phi(x)
@@ -299,8 +302,7 @@ class QuadraticFunkMetric(FinslerMetric):
         return -w / p
 
     def _norm_impl(self, x, y):
-        return _funk_theta(self.spec.alpha, self.spec.beta, self.spec.gamma,
-                           x, y) / self.spec.k
+        return _funk_theta(self._alpha, self._beta, self.spec.gamma, x, y) / self.spec.k
 
     def metric_tensor(self, x, y):
         return _randers_tensor(self.coefficient_matrix(x),
@@ -309,14 +311,17 @@ class QuadraticFunkMetric(FinslerMetric):
 
     def spray_vector(self, x, y):
         # projectively flat with factor k F, so G = k F y; the k cancels
-        # against the 1/k inside F
+        # against the 1/k inside F. A phi of 0 gives NaN, as Klein's sphere does
         y = np.asarray(y, dtype=float)
-        theta = _funk_theta(self.spec.alpha, self.spec.beta, self.spec.gamma,
-                            np.asarray(x, dtype=float), y)
+        try:
+            theta = _funk_theta(self._alpha, self._beta, self.spec.gamma,
+                                np.asarray(x, dtype=float).tolist(), y.tolist())
+        except ZeroDivisionError:
+            return np.full(y.shape, np.nan)
         return theta * y
 
     def _spray_impl(self, x, y):
-        theta = _funk_theta(self.spec.alpha, self.spec.beta, self.spec.gamma, x, y)
+        theta = _funk_theta(self._alpha, self._beta, self.spec.gamma, x, y)
         return [theta * yi for yi in y]
 
     def random_interior_point(self, rng):

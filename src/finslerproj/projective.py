@@ -350,7 +350,9 @@ def _q_window(metric, segment, margin_fraction=1e-6, drift_limit=1e-6):
     n = metric.dimension
     states = segment.states(ss)
 
-    def healthy(x, v):
+    def healthy(i):
+        # judged only when the walk out from the anchor reaches sample i
+        x, v = states[i, :n], states[i, n:]
         try:
             if abs(metric.norm(x, v) - 1.0) > drift_limit:
                 return False
@@ -360,15 +362,14 @@ def _q_window(metric, segment, margin_fraction=1e-6, drift_limit=1e-6):
             return False
         return True
 
-    flags = [healthy(st[:n], st[n:]) for st in states]
     anchor = int(np.argmin(np.abs(ss)))
-    if not flags[anchor]:
+    if not healthy(anchor):
         return lo, hi
     a = anchor
-    while a > 0 and flags[a - 1]:
+    while a > 0 and healthy(a - 1):
         a -= 1
     b = anchor
-    while b < len(ss) - 1 and flags[b + 1]:
+    while b < len(ss) - 1 and healthy(b + 1):
         b += 1
     return float(ss[a]), float(ss[b])
 

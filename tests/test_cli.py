@@ -290,3 +290,11 @@ class TestBuildMetric:
     def test_json_defaults(self):
         text = dump_json({"a": np.float64(1.5), "b": np.arange(3)})
         assert json.loads(text) == {"a": 1.5, "b": [0, 1, 2]}
+
+    def test_json_non_finite_values_become_strings(self):
+        payload = {"nan": math.nan, "inf": np.float64(np.inf),
+                   "rows": [np.array([-np.inf, 2.0]), (np.nan, 0.5)], "zero_d": np.array(-1.0)}
+        text = dump_json(payload)
+        assert "NaN" not in text and "Infinity" not in text
+        assert json.loads(text) == {"nan": "nan", "inf": "inf",
+                                    "rows": [["-inf", 2.0], ["nan", 0.5]], "zero_d": -1.0}

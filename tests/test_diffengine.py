@@ -8,7 +8,7 @@ import pytest
 
 from finslerproj.diffengine import (Jet, central_d1, extract_coefficient,
                                     fundamental_tensor)
-from finslerproj.errors import AccuracyError
+from finslerproj.errors import AccuracyError, ConstructionError
 from finslerproj.metrics import EuclideanMetric, funk_ball, klein_metric
 
 # d(F^2)/dx1 of the unit-ball Funk metric at x=(1/2,0), y=(1,0); computed
@@ -24,6 +24,14 @@ class TestJet:
         assert p.derivative(1) == pytest.approx(10.0)   # 3t^2 - 2
         assert p.derivative(2) == pytest.approx(12.0)   # 6t
         assert p.derivative(3) == pytest.approx(6.0)
+
+    def test_misuse_raises_construction_error(self):
+        with pytest.raises(ConstructionError, match="order"):
+            Jet.variable(1.0, 0)
+        inner = Jet.variable(1.0, 2, level=1)
+        outer = Jet([inner, 1.0], level=2)
+        with pytest.raises(ConstructionError, match="highest"):
+            extract_coefficient(outer, 1, 0)
 
     def test_division_and_reciprocal(self):
         t = Jet.variable(0.5, 3)

@@ -13,7 +13,7 @@ from finslerproj.distance import (Chain, ChainLink, IntervalPair,
                                   schwarz_ratio)
 from finslerproj.errors import (ConstructionError, DomainError, HypothesisError,
                                 InadmissibleChartError)
-from finslerproj.metrics import interval_funk_eval
+from finslerproj.metrics import funk_ball, interval_funk_eval, klein_metric
 
 from test_projective import SphereMetric
 
@@ -115,6 +115,18 @@ class TestChains:
         link = single.canonical_chain.links[0]
         assert np.abs(link.map_point(link.a) - [0.0, 0.0]).max() <= 1e-6
         assert np.abs(link.map_point(link.b) - [0.5, 0.0]).max() <= 1e-6
+
+    def test_start_is_checked_before_the_end_is_solved(self, klein2, monkeypatch):
+        link = pseudo_distance_upper(klein2, [0.0, 0.0], [0.5, 0.0]).canonical_chain.links[0]
+        solved = []
+        solve = ChainLink.parameter_of
+        monkeypatch.setattr(ChainLink, "parameter_of",
+                            lambda self, u: solved.append(u) or solve(self, u))
+        with pytest.raises(ConstructionError, match="waypoints"):
+            ChainLink(geodesic=link.geodesic, parameter=link.parameter, chart=link.chart,
+                      a=link.a, b=link.b, k=link.k, start_point=[0.1, 0.0],
+                      end_point=link.end_point, stages=link.stages)
+        assert solved == [link.a]
 
 
 class TestPseudoDistance:
@@ -226,6 +238,33 @@ class TestPseudoDistance:
         assert split.estimate_cap_bound is True
         same = pseudo_distance_upper(klein2, [0.1, 0.2], [0.1, 0.2])
         assert same.estimate_cap_bound is False
+
+    def test_subdivision_builds_one_canonical_link(self, klein2, monkeypatch):
+        canonical = []
+        check = ChainLink.__post_init__
+
+        def counting(self):
+            if self.stages is not None and self.stages[1:] == (0.0, False):
+                canonical.append(self)
+            check(self)
+
+        monkeypatch.setattr(ChainLink, "__post_init__", counting)
+        report = pseudo_distance_upper(klein2, [0.1, 0.2], [-0.3, 0.4],
+                                       PseudoDistanceOptions(budget=12, segments=2))
+        assert canonical == report.canonical_chain.links
+
+    @pytest.mark.parametrize("make, x, y, canonical, geodesic", [
+        (lambda: klein_metric(2), [0.1, 0.2], [-0.3, 0.4],
+         "0x1.3a616c4b8999dp-1", "0x1.fbbae56977c65p-2"),
+        (lambda: funk_ball(3), [0.1, 0.2, 0.0], [-0.3, 0.4, 0.0],
+         "0x1.69e67a5a436cap-2", "0x1.3a616c6650078p-1"),
+    ])
+    def test_pinned_values(self, make, x, y, canonical, geodesic):
+        # float.hex values frozen from the numpy-scalar closed forms
+        report = pseudo_distance_upper(make(), x, y,
+                                       PseudoDistanceOptions(budget=12, segments=2))
+        assert report.canonical_value.hex() == canonical
+        assert report.geodesic_distance.hex() == geodesic
 
     def test_canonical_chain_kept_off_the_dict(self, klein2):
         report = pseudo_distance_upper(klein2, [0.1, 0.2], [-0.3, 0.4])

@@ -1,6 +1,7 @@
 """The shipped metric catalogue."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ import pytest
 from finslerproj.core import arc_length, validate_homogeneity, validate_strong_convexity
 from finslerproj.distance import funk_distance_interval
 from finslerproj.errors import ConstructionError, DomainError
-from finslerproj.metrics import (EuclideanMetric, IntervalFunkMetric,
-                                 QuadraticDomainSpec, RandersSpec, RiemannianMetric,
-                                 RiemannianSpec, funk_ball, funk_from_quadratic,
-                                 interval_funk_eval, klein_metric, randers_metric)
+from finslerproj.metrics import (EuclideanMetric, IntervalFunkMetric, KleinMetric,
+                                 QuadraticDomainSpec, QuadraticFunkMetric, RandersSpec,
+                                 RiemannianMetric, RiemannianSpec, _funk_theta, funk_ball,
+                                 funk_from_quadratic, interval_funk_eval, klein_metric,
+                                 randers_metric)
 
 
 def ball_closed_form(x, y):
@@ -261,3 +263,63 @@ class TestShippedAxioms:
             assert validate_homogeneity(metric, samples, tolerance=1e-10).passed
             assert validate_strong_convexity(
                 metric, metric.random_line_elements(40, rng)).passed
+
+
+def off_centre_ellipse():
+    """Funk metric of the ellipse with semi-axes 0.6, 1.4 centred at (0.1, -0.05):
+    phi = 1 - (x - c) D (x - c) with D = diag(1/0.6^2, 1/1.4^2)."""
+    D = np.diag([1.0 / 0.36, 1.0 / 1.96])
+    c = np.array([0.1, -0.05])
+    return funk_from_quadratic(QuadraticDomainSpec(alpha=-D, beta=D @ c,
+                                                   gamma=1.0 - float(c @ D @ c)))
+
+
+def closed_form_metrics():
+    return {
+        "klein2": klein_metric(2),
+        "klein3": klein_metric(3),
+        "funk-ball2": funk_ball(2),
+        "funk-ball3": funk_ball(3),
+        "funk-ellipse": off_centre_ellipse(),
+        "euclidean": EuclideanMetric(3),
+        "randers-constant": randers_metric(RandersSpec(
+            2, np.array([[1.2, 0.3], [0.3, 0.8]]), np.array([0.25, -0.3]))),
+    }
+
+
+class TestFloatClosedForms:
+    """The shipped closed forms run on Python floats; their values must be
+    those of the same arithmetic on numpy arrays, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(closed_form_metrics()))
+    def test_norm_equals_the_array_route(self, name):
+        metric = closed_form_metrics()[name]
+        for x, y in metric.random_line_elements(200, np.random.default_rng(31)):
+            assert metric.norm(x, y).hex() == float(metric._norm_impl(x, y)).hex()
+
+    @pytest.mark.parametrize("name", ["funk-ball2", "funk-ball3", "funk-ellipse"])
+    def test_funk_spray_equals_the_array_route(self, name):
+        metric = closed_form_metrics()[name]
+        spec = metric.spec
+        for x, y in metric.random_line_elements(200, np.random.default_rng(32)):
+            expected = _funk_theta(spec.alpha, spec.beta, spec.gamma, x, y) * y
+            assert [v.hex() for v in metric.spray_vector(x, y).tolist()] == \
+                [v.hex() for v in expected.tolist()]
+
+    @pytest.mark.parametrize("y", [[1.0, 0.0], [0.0, 1.0]])  # wy < 0, wy = 0
+    def test_funk_spray_on_the_sphere_is_nan(self, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = funk_ball(2).spray_vector([1.0, 0.0], y)
+        assert g.shape == (2,) and np.all(np.isnan(g))
+
+    @pytest.mark.parametrize("cls, make", [
+        (KleinMetric, lambda cls: cls(2)),
+        (QuadraticFunkMetric, lambda cls: cls(funk_ball(2).spec)),
+    ])
+    def test_closed_form_phi_of_zero_is_a_domain_error(self, cls, make):
+        # a domain test that lets the sphere through leaves the closed form's
+        # own phi at exactly 0
+        loose = type("Loose", (cls,), {"domain_value": lambda self, x: 1.0})
+        with pytest.raises(DomainError, match="boundary"):
+            make(loose).norm([1.0, 0.0], [1.0, 0.0])

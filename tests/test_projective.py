@@ -311,6 +311,88 @@ class TestPiecewiseSeries:
         assert np.abs(par.basis(ss) - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
+def blackbox_klein():
+    """The Klein tensor with no Christoffels: its spray takes the stencils."""
+    def g(x):
+        phi = 1.0 - float(x @ x)
+        return np.eye(len(x)) / phi + np.outer(x, x) / phi ** 2
+
+    return RiemannianMetric(RiemannianSpec(
+        dimension=2, metric_provider=g, domain_provider=lambda x: 1.0 - float(x @ x),
+        name="klein-blackbox"))
+
+
+def brute_force_window(metric, segment, margin_fraction=1e-6, drift_limit=1e-6):
+    """_q_window's window from every sample's flag, judged up front, then
+    the walk outward from the sample nearest s = 0."""
+    lo, hi = segment.s_min, segment.s_max
+    ss = np.linspace(lo, hi, 201)
+    n = metric.dimension
+    needs_room = metric.bounded_domain and not metric.spray_supports_jets
+    flags = []
+    for st in segment.states(ss):
+        try:
+            flags.append(not abs(metric.norm(st[:n], st[n:]) - 1.0) > drift_limit
+                         and not (needs_room and metric.domain_value(st[:n])
+                                  < margin_fraction * metric.domain_scale))
+        except Exception:
+            flags.append(False)
+    anchor = int(np.argmin(np.abs(ss)))
+    if not flags[anchor]:
+        return lo, hi
+    a = b = anchor
+    while a > 0 and flags[a - 1]:
+        a -= 1
+    while b < len(ss) - 1 and flags[b + 1]:
+        b += 1
+    return float(ss[a]), float(ss[b])
+
+
+class DoubledSpeed:
+    """A segment whose states carry twice the unit velocity: no sample,
+    the anchor included, passes the unit-speed test."""
+
+    def __init__(self, segment):
+        self.segment = segment
+        self.s_min, self.s_max = segment.s_min, segment.s_max
+
+    def states(self, ss):
+        st = self.segment.states(ss).copy()
+        st[:, st.shape[1] // 2:] *= 2.0
+        return st
+
+
+class TestQWindow:
+    @pytest.mark.parametrize("make, cap, margin", [
+        (lambda: klein_metric(2), 30.0, 1e-6),
+        (lambda: funk_ball(2), 30.0, 1e-6),
+        (blackbox_klein, 6.0, 1e-6),     # the stencil-room branch, untrimmed
+        (blackbox_klein, 6.0, 0.5),      # the stencil-room branch trims both ends
+    ])
+    def test_equals_judging_every_sample(self, make, cap, margin):
+        metric = make()
+        seg = extend_geodesic(metric, [0.1, 0.2], [0.3, -0.4], cap=cap)
+        window = projective._q_window(metric, seg, margin_fraction=margin)
+        assert window == brute_force_window(metric, seg, margin_fraction=margin)
+        if margin == 0.5:
+            assert seg.s_min < window[0] and window[1] < seg.s_max
+
+    def test_unhealthy_anchor_keeps_the_segment(self, klein2):
+        seg = DoubledSpeed(extend_geodesic(klein2, [0.1, 0.2], [0.3, -0.4]))
+        window = projective._q_window(klein2, seg)
+        assert window == (seg.s_min, seg.s_max) == brute_force_window(klein2, seg)
+
+    def test_judges_only_the_samples_the_walk_reaches(self, monkeypatch):
+        metric = klein_metric(2)
+        seg = extend_geodesic(metric, [0.1, 0.2], [0.3, -0.4])
+        calls = []
+        norm = metric.norm
+        monkeypatch.setattr(metric, "norm", lambda x, y: calls.append(1) or norm(x, y))
+        lo, hi = projective._q_window(metric, seg)
+        assert seg.s_min < lo and hi < seg.s_max
+        assert len(calls) < 201
+
+
 class TestInvarianceCrossCheck:
     def test_pairwise_residuals(self, eucl2, klein2, ball2):
         probes = [-0.3, 0.05, 0.25, 0.5]
