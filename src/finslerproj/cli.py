@@ -476,7 +476,9 @@ def run_args(argv, capture=False):
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        code = args.handler(args, out)
+        # an input such as 1e300 overflows before its one-line rejection
+        with np.errstate(all="ignore"):
+            code = args.handler(args, out)
     except ConfigError as exc:
         message = f"error: config: {exc}"
         print(message, file=sys.stderr)

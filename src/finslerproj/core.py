@@ -185,6 +185,16 @@ class FinslerMetric:
         return out
 
 
+def positive_finite(value, what) -> float:
+    """float(value) if its square is finite and positive, else ConstructionError: a
+    tolerance, step or constant whose square is 0, inf or nan breaks its check."""
+    value = float(value)
+    if not (value > 0.0 and 0.0 < value * value < math.inf):
+        raise ConstructionError(f"{what} must be positive with a finite, nonzero square, "
+                                f"got {value!r}")
+    return value
+
+
 def boundary_room(metric, x) -> float:
     """Coordinate room around x before a stencil exits the domain: phi(x) over
     the l1 norm of its central-difference gradient; +inf when unbounded."""
@@ -240,6 +250,7 @@ def validate_homogeneity(metric, samples, tolerance=1e-10) -> ValidationReport:
     samples: iterable of (x, y, t). The recorded residual is the worst
     relative defect |F(x, ty) - t F(x, y)| / F(x, y).
     """
+    tolerance = positive_finite(tolerance, "the homogeneity tolerance")
     residuals = []
     for x, y, t in samples:
         if t <= 0:

@@ -9,10 +9,10 @@ The Ricci scalar is built from the spray coefficients:
 so it is 0-homogeneous in y and equals (n-1) times the flag curvature on
 constant-curvature metrics. A jet-capable spray is differentiated by Taylor
 jets whose coefficients are (N,) arrays, so a whole stack of line elements
-costs one pass (`ricci_scalar_batch`); a black-box spray by stencils, one
-element at a time. For a Riemannian tensor without Christoffels the spray's
-x-data (the tensor and its x-derivatives) does not depend on y, so one batch
-computes it once per stencil point x and reuses it for every y there.
+costs one pass (`ricci_scalar_batch`); so does a black-box spray, by nested
+stencils whose points all go to one `spray_batch` call. For a Riemannian
+tensor without Christoffels the spray's x-data (the tensor and its
+x-derivatives) does not depend on y: it is computed once per stencil point.
 
 The Ricci tensor is the y-Hessian of F^2 Ric / 2, which keeps the
 contraction identity Ric_ik l^i l^k = Ric automatic. `check_ricci_bound`
@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_components, as_coords, boundary_room
-from .diffengine import Jet, central_d1, extract_coefficient, fundamental_tensor
-from .errors import (AccuracyError, ConstructionError, DomainError,
-                     NotProjectiveError)
-from .geodesics import spray_function, spray_vector
+from .core import as_components, as_coords, boundary_room, positive_finite
+from .diffengine import (Jet, central_d1, d1_combine, d1_points, extract_coefficient,
+                         fundamental_tensor)
+from .errors import AccuracyError, DomainError, NotProjectiveError
+from .geodesics import spray_batch, spray_vector
 
 
 # ======================================================================
@@ -124,44 +124,59 @@ def _ricci_scalar_jets(metric, X, Y, f2):
     return rhs / (2.0 * f2)
 
 
-def _ricci_scalar_stencil(metric, G, x, y, f2):
-    """Ricci scalar of the black-box spray G by nested central differences."""
+def _stencil(V, h):
+    """d1_points of the (P, n) stack V, steps h (P,), along each axis in turn."""
+    return np.concatenate([np.concatenate(d1_points(V, i, h)) for i in range(V.shape[1])])
+
+
+def _tiled(V, n):
+    """The (P, n) stack V repeated in the layout of _stencil."""
+    return np.tile(V, (4 * n, 1))
+
+
+def _derivatives(F, h):
+    """(P, ..., n) derivatives from the values F at _stencil(V, h)'s points."""
+    F = F.reshape((-1, 4, len(h)) + F.shape[1:])
+    h = h.reshape(h.shape + (1,) * (F.ndim - 3))
+    return np.stack([d1_combine(Fj, h) for Fj in F], axis=-1)
+
+
+def _ricci_scalar_stencil(metric, X, Y, f2):
+    """Ricci scalars of a black-box spray at the (N, n) stacks X, Y by nested
+    central differences: every element's x-steps, then one spray_batch call."""
     n = metric.dimension
-    hx, Hx = _x_steps(metric, x)
-    hy = 1e-5 * _yscale(y)
-
-    Gx = np.column_stack([central_d1(lambda xx: G(xx, y), x, j, hx) for j in range(n)])
-    Gy = np.column_stack([central_d1(lambda yy: G(x, yy), y, j, hy) for j in range(n)])
-
-    def S(xx, yy):
-        h = 1e-4 * _yscale(yy)
-        return sum(central_d1(lambda w: G(xx, w), yy, i, h)[i] for i in range(n))
-
-    Hy = 1e-3 * _yscale(y)
-    Sx = np.array([central_d1(lambda xx: S(xx, y), x, j, Hx) for j in range(n)])
-    Sy = np.array([central_d1(lambda yy: S(x, yy), y, j, Hy) for j in range(n)])
-
-    G0 = G(x, y)
-    rhs = 2.0 * np.trace(Gx) - 0.5 * float(np.trace(Gy @ Gy)) - float(y @ Sx) + float(G0 @ Sy)
+    if not len(X):
+        return np.empty(0)
+    hx, Hx = np.array([_x_steps(metric, x) for x in X], dtype=float).T
+    hy, Hy = 1e-5 * np.abs(Y).max(axis=1), 1e-3 * np.abs(Y).max(axis=1)  # _yscale per row
+    # points of the Sx and Sy stencils, where S(xx, yy) = sum_i dG^i/dy^i
+    SX = np.concatenate([_stencil(X, Hx), _tiled(X, n)])
+    SY = np.concatenate([_tiled(Y, n), _stencil(Y, Hy)])
+    hS = 1e-4 * np.abs(SY).max(axis=1)
+    XX = [X, _stencil(X, hx), _tiled(X, n), _tiled(SX, n)]
+    YY = [Y, _tiled(Y, n), _stencil(Y, hy), _stencil(SY, hS)]
+    G0, Gx, Gy, GS = np.split(spray_batch(metric, np.concatenate(XX), np.concatenate(YY)),
+                              np.cumsum([len(v) for v in XX])[:-1])
+    Gx, Gy, GS = _derivatives(Gx, hx), _derivatives(Gy, hy), _derivatives(GS, hS)
+    S = sum(GS[:, i, i] for i in range(n))
+    Sx, Sy = _derivatives(S[:len(SX) // 2], Hx), _derivatives(S[len(SX) // 2:], Hy)
+    # stacked traces and matmuls, as in _ricci_scalar_jets
+    rhs = (2.0 * np.trace(Gx, axis1=1, axis2=2) - 0.5 * np.trace(Gy @ Gy, axis1=1, axis2=2)
+           - (Y[:, None, :] @ Sx[:, :, None])[:, 0, 0]
+           + (G0[:, None, :] @ Sy[:, :, None])[:, 0, 0])
     return rhs / (2.0 * f2)
 
 
 def _ricci_and_energy(metric, X, Y):
-    """(Ric, F^2) of the line elements stacked in X, Y, as (N,) arrays.
-
-    Every element is validated by `norm_batch`, which also gives its F^2;
-    a jet-capable spray then answers for the whole stack in one pass, a
-    black-box spray element by element through one spray function.
-    """
+    """(Ric, F^2) of the line elements stacked in X, Y, as (N,) arrays: every
+    element is validated by `norm_batch`, which also gives its F^2, then the
+    spray's jets or its stencils answer for the whole stack in one pass."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     # squared one by one as Python floats, so F^2 has the bits of norm() ** 2
     f2 = np.array([f ** 2 for f in metric.norm_batch(X, Y).tolist()], dtype=float)
-    if metric.spray_supports_jets:
-        return _ricci_scalar_jets(metric, X, Y, f2), f2
-    G = spray_function(metric)
-    ric = [_ricci_scalar_stencil(metric, G, x, y, e) for x, y, e in zip(X, Y, f2)]
-    return np.array(ric, dtype=float), f2
+    route = _ricci_scalar_jets if metric.spray_supports_jets else _ricci_scalar_stencil
+    return route(metric, X, Y, f2), f2
 
 
 def ricci_scalar_batch(metric, X, Y) -> np.ndarray:
@@ -224,6 +239,8 @@ def _tensor_cloud(metric, x, y, step):
     the offsets o of _tensor_offsets, where ricci_tensor samples F^2 Ric."""
     x, y = metric.check_line_element(as_coords(x), as_components(y))
     h = step * _yscale(y)
+    if not 0.0 < h * h < math.inf:  # the second differences divide by h^2
+        raise DomainError(f"ricci_tensor's y-step {h!r} at y={y.tolist()} has no usable square")
     return x, y, h, y + h * np.array(_tensor_offsets(metric.dimension), dtype=float)
 
 
@@ -308,6 +325,8 @@ def ricci_tensor(metric, x, y, step=TENSOR_STEP,
     The contraction identity is enforced a posteriori; a residual above
     contraction_limit raises AccuracyError.
     """
+    step = positive_finite(step, "the Ricci tensor step")
+    contraction_limit = positive_finite(contraction_limit, "the contraction limit")
     return next(_ricci_tensors(metric, [(x, y)], step, contraction_limit))
 
 
@@ -320,22 +339,22 @@ def curvature_matrix(metric, x, y) -> np.ndarray:
     """
     x, y = metric.check_line_element(as_coords(x), as_components(y))
     n = metric.dimension
-    hy = 1e-4 * _yscale(y)
-    G = spray_function(metric)
-
-    def T(xx, yy):
-        # (i, j) -> (dG^i/dy^j) / F
-        cols = [central_d1(lambda w: G(xx, w), yy, j, hy) for j in range(n)]
-        return np.column_stack(cols) / metric.norm(xx, yy)
-
-    N0 = 0.5 * np.column_stack([central_d1(lambda w: G(x, w), y, j, hy) for j in range(n)])
     _, H = _x_steps(metric, x)
-    Ty = [central_d1(lambda yy: T(x, yy), y, m, 1e-3 * _yscale(y)) for m in range(n)]
+    X, Y = x[None], y[None]
+    hT, hX = np.array([1e-3 * _yscale(y)]), np.array([H])
+    # dG^i/dy^j at (x, y) and at the y- and x-stencil points of T = (dG^i/dy^j) / F
+    TX = np.concatenate([X, _tiled(X, n), _stencil(X, hX)])
+    TY = np.concatenate([Y, _stencil(Y, hT), _tiled(Y, n)])
+    hy = np.full(len(TY), 1e-4 * _yscale(y))
+    Gy = _derivatives(spray_batch(metric, _tiled(TX, n), _stencil(TY, hy)), hy)
+    N0 = 0.5 * Gy[0]
+    T = Gy[1:] / metric.norm_batch(TX[1:], TY[1:])[:, None, None]
+    Ty, dT = _derivatives(T[:4 * n], hT)[0], _derivatives(T[4 * n:], hX)[0]
     delta = []
     for k in range(n):
-        dTk = central_d1(lambda xx: T(xx, y), x, k, H)
+        dTk = dT[..., k]
         for m in range(n):
-            dTk = dTk - N0[m, k] * Ty[m]
+            dTk = dTk - N0[m, k] * Ty[..., m]
         delta.append(dTk)
     F = metric.norm(x, y)
     ell = y / F
@@ -394,10 +413,10 @@ class RicciBoundReport:
 
 def check_ricci_bound(metric, samples, c, tolerance=1e-3) -> RicciBoundReport:
     """Check (Ric)_ij <= -c^2 g_ij, as matrices, over sampled line elements."""
-    if not c > 0:
-        raise ConstructionError("the Ricci bound constant c must be positive")
+    c = positive_finite(c, "the Ricci bound constant c")
+    tolerance = positive_finite(tolerance, "the Ricci bound tolerance")
     samples = [(as_coords(x), as_components(y)) for x, y in samples]
-    report = RicciBoundReport(c=float(c), tolerance=float(tolerance), samples=samples)
+    report = RicciBoundReport(c=c, tolerance=tolerance, samples=samples)
     tensors = _ricci_tensors(metric, samples, TENSOR_STEP, CONTRACTION_LIMIT)
     for (x, y), data in zip(samples, tensors):
         g = fundamental_tensor(metric, x, y)

@@ -14,8 +14,8 @@ g_ij = (F^2/2)_{y^i y^j}. An analytic provider on the metric answers first;
 otherwise nested jets differentiate a jet-safe norm, and central
 differences with Richardson extrapolation a black-box one.
 
-`central_d1` is the shared 5-point stencil of the spray and curvature
-routes for fields that are only available as black boxes.
+`d1_points` and `d1_combine`, the points and weights of one 5-point stencil,
+differentiate black-box fields, at one point (`central_d1`) or whole stacks.
 """
 
 from __future__ import annotations
@@ -280,15 +280,24 @@ def extract_coefficient(value, level, order):
     return _at(value.coef, order)
 
 
+def d1_points(v, i, h):
+    """v - 2e, v - e, v + e, v + 2e with e = h along coordinate i, for one point
+    v and a float h, or an (N, n) stack v and (N,) steps h."""
+    e = np.zeros(np.shape(v))
+    e[..., i] = h
+    return v - 2 * e, v - e, v + e, v + 2 * e
+
+
+def d1_combine(values, h):
+    """O(h^4) first derivative from the values at the four d1_points."""
+    fm2, fm1, fp1, fp2 = values
+    return (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
+
+
 def central_d1(fn, v, i, h):
     """5-point O(h^4) central first derivative of fn (scalar- or array-valued)
     along coordinate i of v; the one stencil of the spray and curvature routes."""
-    e = np.zeros(len(v))
-    e[i] = h
-    return (np.asarray(fn(v - 2 * e)) - 8 * np.asarray(fn(v - e))
-            + 8 * np.asarray(fn(v + e)) - np.asarray(fn(v + 2 * e))) / (12 * h)
-
-
+    return d1_combine([np.asarray(fn(p)) for p in d1_points(v, i, h)], h)
 
 
 # ======================================================================

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_coords
+from .core import as_coords, positive_finite
 from .curvature import check_ricci_bound
 from .errors import (ConstructionError, DomainError,
                      HypothesisError, InadmissibleChartError)
@@ -46,8 +46,7 @@ class IntervalPair:
     def __post_init__(self):
         if not (abs(self.a) < 1.0 and abs(self.b) < 1.0):
             raise DomainError(f"interval pair ({self.a}, {self.b}) outside (-1, 1)")
-        if not self.k > 0:
-            raise ConstructionError("the Funk constant k must be positive")
+        positive_finite(self.k, "the Funk constant k")
 
 
 def funk_distance_interval(a, b=None, k=1.0) -> float:
@@ -219,10 +218,9 @@ class PseudoDistanceOptions:
             raise ConstructionError("subdivision depth is limited to 1..4 segments")
         if self.budget < 1:
             raise ConstructionError("search budget must be positive")
-        if not self.k > 0:
-            raise ConstructionError("the Funk constant k must be positive")
-        if self.c is not None and not self.c > 0:
-            raise ConstructionError("the Ricci bound constant c must be positive")
+        positive_finite(self.k, "the Funk constant k")
+        if self.c is not None:
+            positive_finite(self.c, "the Ricci bound constant c")
 
 
 @dataclass

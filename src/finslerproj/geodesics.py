@@ -58,50 +58,56 @@ def _spray_xdata(metric, x, y):
     return g0, dg
 
 
-def _spray_contract(x, y, g0, dg):
-    """G^i = g^{is}(dg_sj/dx^k - dg_jk/dx^s / 2) y^j y^k from the x-data."""
-    rhs = np.einsum("sjk,j,k->s", dg, y, y) - 0.5 * np.einsum("jks,j,k->s", dg, y, y)
+def _solve(x, g, rhs):
+    """np.linalg.solve(g, rhs) for the tensor g at x; singular is a ConvexityError."""
     try:
-        return np.linalg.solve(g0, rhs)
+        return np.linalg.solve(g, rhs)
     except np.linalg.LinAlgError as exc:
         raise ConvexityError(f"singular fundamental tensor at x={x.tolist()}") from exc
 
 
 def _spray_from_tensor(metric, x, y):
     """Formal-Christoffel route: G^i = g^{is}(dg_sj/dx^k - dg_jk/dx^s / 2) y^j y^k."""
-    return _spray_contract(x, y, *_spray_xdata(metric, x, y))
-
-
-def _spray(metric, x, y, xdata):
-    """The one spray dispatch; xdata is None, or a dict that keeps the
-    formal-Christoffel x-data by the bytes of x."""
-    x, y = metric.check_line_element(x, y)
-    g = metric.spray_vector(x, y)
-    if g is not None:
-        return np.asarray(g, dtype=float)
-    if xdata is None:
-        return _spray_from_tensor(metric, x, y)
-    key = x.tobytes()
-    if key not in xdata:
-        xdata[key] = _spray_xdata(metric, x, y)
-    return _spray_contract(x, y, *xdata[key])
+    g0, dg = _spray_xdata(metric, x, y)
+    rhs = np.einsum("sjk,j,k->s", dg, y, y) - 0.5 * np.einsum("jks,j,k->s", dg, y, y)
+    return _solve(x, g0, rhs)
 
 
 def spray_vector(metric, x, y) -> np.ndarray:
     """Spray coefficients G(x, y) of the geodesic equation x'' + G = 0."""
-    return _spray(metric, x, y, None)
+    x, y = metric.check_line_element(x, y)
+    g = metric.spray_vector(x, y)
+    if g is not None:
+        return np.asarray(g, dtype=float)
+    return _spray_from_tensor(metric, x, y)
 
 
-def spray_function(metric):
-    """spray_vector(metric, ., .) for many evaluations at few points x.
-
-    The tensor of a RiemannianMetric ignores y, so on the formal-Christoffel
-    route its x-data is computed once per point x, keyed by the bytes of x,
-    and contracted with every y seen there; the values are those of
-    spray_vector. Any other metric is evaluated call by call.
-    """
-    xdata = {} if isinstance(metric, RiemannianMetric) else None
-    return lambda x, y: _spray(metric, x, y, xdata)
+def spray_batch(metric, X, Y) -> np.ndarray:
+    """Sprays at the (N, n) stacks X, Y, row k with the bits of spray_vector. A
+    RiemannianMetric's tensor ignores y, so each distinct x (by its bytes) is
+    validated, probed for an analytic spray and, without one, builds its x-data
+    once for one stacked solve over all its y's. Other metrics go row by row."""
+    X = np.ascontiguousarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    # other metrics, or a non-finite or zero y: row by row, the first bad row raising
+    if not (isinstance(metric, RiemannianMetric) and np.isfinite(Y).all() and Y.any(1).all()):
+        return np.array([spray_vector(metric, x, y) for x, y in zip(X, Y)],
+                        dtype=float).reshape(Y.shape)
+    keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    out = np.empty_like(Y)
+    for group in np.argsort(first):  # distinct points in order of appearance
+        rows = np.flatnonzero(inverse.ravel() == group)
+        x, ys = metric.check_point(X[rows[0]]), Y[rows]
+        g = metric.spray_vector(x, ys[0])
+        if g is not None:
+            out[rows] = [g] + [metric.spray_vector(x, y) for y in ys[1:]]
+            continue
+        g0, dg = _spray_xdata(metric, x, ys[0])
+        rhs = (np.einsum("sjk,mj,mk->ms", dg, ys, ys)
+               - 0.5 * np.einsum("jks,mj,mk->ms", dg, ys, ys))[:, :, None]
+        out[rows] = _solve(x, np.broadcast_to(g0, (len(rows),) + g0.shape), rhs)[:, :, 0]
+    return out
 
 
 # ======================================================================
@@ -253,6 +259,15 @@ def _solve_leg(metric, z0, s_end, rtol, atol, margin, escape_as_truncation=False
     return sol, truncated
 
 
+def _unit_state(metric, x0, y0):
+    """The validated start (x0, y0 / F(x0, y0)) of a unit-speed geodesic."""
+    x0, y0 = metric.check_line_element(as_coords(x0), as_components(y0))
+    v = y0 / metric.norm(x0, y0)
+    if not np.all(np.isfinite(v)):  # F underflowed to 0 or overflowed
+        raise DomainError(f"{metric.name}: y0={y0.tolist()} cannot be scaled to unit speed")
+    return np.concatenate([x0, v])
+
+
 def integrate_geodesic(metric, x0, y0, length, *, tol=1e-11,
                        boundary_margin=BOUNDARY_MARGIN) -> GeodesicSegment:
     """Unit-speed geodesic from x0 in direction y0, integrated for the given length.
@@ -260,9 +275,7 @@ def integrate_geodesic(metric, x0, y0, length, *, tol=1e-11,
     y0 is normalized to F(x0, y0) = 1. A boundary approach within the margin
     stops the integration and flags the segment truncated.
     """
-    x0, y0 = metric.check_line_element(as_coords(x0), as_components(y0))
-    y0 = y0 / metric.norm(x0, y0)
-    z0 = np.concatenate([x0, y0])
+    z0 = _unit_state(metric, x0, y0)
     if not (math.isfinite(length) and length >= 0):
         raise DomainError(f"geodesic length must be finite and nonnegative, got {length}; "
                           "integrate the reverse direction for a backward leg")
@@ -279,9 +292,7 @@ def extend_geodesic(metric, x0, y0, *, cap=EXTENSION_CAP, tol=1e-11,
     margin or the length cap, which must be finite and positive."""
     if not (math.isfinite(cap) and cap > 0):
         raise DomainError(f"extension cap must be finite and positive, got {cap}")
-    x0, y0 = metric.check_line_element(as_coords(x0), as_components(y0))
-    y0 = y0 / metric.norm(x0, y0)
-    z0 = np.concatenate([x0, y0])
+    z0 = _unit_state(metric, x0, y0)
     fwd, tf = _solve_leg(metric, z0, float(cap), tol, tol * 1e-1, boundary_margin,
                          escape_as_truncation=True)
     back, tb = _solve_leg(metric, z0, -float(cap), tol, tol * 1e-1, boundary_margin,

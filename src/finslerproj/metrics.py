@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FinslerMetric, validate_strong_convexity
+from .core import FinslerMetric, positive_finite, validate_strong_convexity
 from .diffengine import jet_value, jet_where, smooth_sqrt
 from .errors import ConstructionError, ConvexityError, DomainError
 
@@ -214,12 +214,10 @@ class QuadraticDomainSpec:
             raise ConstructionError("beta must match alpha's dimension")
         if not self.gamma > 0:
             raise ConstructionError("gamma must be a positive number")
-        if not self.k > 0:
-            raise ConstructionError("the Funk constant k must be positive")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "k", float(self.k))
+        object.__setattr__(self, "k", positive_finite(self.k, "the Funk constant k"))
         if np.linalg.eigvalsh(-a)[0] < -1e-12:
             warnings.warn("-alpha is not positive semidefinite; the domain may "
                           "not be strictly convex", stacklevel=2)
@@ -366,9 +364,7 @@ class IntervalFunkMetric:
     name = "interval-funk"
 
     def __init__(self, k=1.0):
-        if not k > 0:
-            raise ConstructionError("the Funk constant k must be positive")
-        self.k = float(k)
+        self.k = positive_finite(k, "the Funk constant k")
 
     def domain_value(self, x):
         u = float(np.atleast_1d(x)[0])
@@ -389,8 +385,7 @@ def interval_funk_eval(u, y, k=1.0) -> float:
         raise DomainError(f"interval-funk: u={u} outside (-1, 1)")
     if y == 0.0:
         raise DomainError("interval-funk: metric evaluation needs a nonzero vector")
-    if not k > 0:
-        raise ConstructionError("the Funk constant k must be positive")
+    k = positive_finite(k, "the Funk constant k")
     return (abs(y) + u * y) / (k * (1.0 - u * u))
 
 

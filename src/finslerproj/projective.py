@@ -397,7 +397,10 @@ def projective_parameter(metric, segment: GeodesicSegment, *, s0=0.0,
     if not lo <= s0 <= hi:
         raise DomainError(f"normalization point s0={s0} must lie inside the segment")
     q_lo, q_hi = _q_window(metric, segment)
-    count = max(9, int(math.ceil((q_hi - q_lo) / q_step)) + 1)
+    span = (q_hi - q_lo) / q_step
+    if not span < 65536:  # 16384 units of arc length at the default step
+        raise DomainError(f"q on [{q_lo!r}, {q_hi!r}] needs over 65536 samples")
+    count = max(9, int(math.ceil(span)) + 1)
     s_grid = np.linspace(q_lo, q_hi, count)
     states = segment.states(s_grid)
     q_values = 2.0 / (n - 1) * ricci_scalar_batch(metric, states[:, :n], states[:, n:])
@@ -417,6 +420,8 @@ def projective_parameter(metric, segment: GeodesicSegment, *, s0=0.0,
     base = np.unique(np.concatenate([knots, [lo, hi, s0]]))
     h = np.diff(base)
     bound = np.abs(scaled_taylor(base[:-1], h)).sum(axis=1)    # >= max |q| on the piece
+    if not np.all(np.isfinite(bound)):  # a span too short for the q spline, say
+        raise DomainError(f"q has no finite bound on the pieces of [{lo!r}, {hi!r}]")
     splits = np.maximum(1, np.ceil(h * np.sqrt(0.5 * bound))).astype(int)
     breaks = np.concatenate([np.linspace(a, b, m, endpoint=False)
                              for a, b, m in zip(base, base[1:], splits)] + [[hi]])

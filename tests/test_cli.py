@@ -1,8 +1,11 @@
 """CLI contract: subcommands, config execution, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +196,35 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: DomainError:") and "\n" not in err.strip()
 
+    @pytest.mark.parametrize("argv, kind", [
+        (["validate", "--metric", "klein", "--samples", "3", "--tolerance", "inf"],
+         "ConstructionError"),
+        (["validate", "--metric", "klein", "--samples", "3", "--tolerance", "nan"],
+         "ConstructionError"),
+        (["curvature", "--metric", "klein", "--samples", "2", "--check-bound", "--c", "inf"],
+         "ConstructionError"),
+        (["validate", "--metric", "funk-ball", "--n", "2", "--k", "inf"], "ConstructionError"),
+        (["validate", "--metric", "funk-ball", "--n", "2", "--k", "1e300"], "ConstructionError"),
+        (["funk", "--metric", "funk-ball", "--x", "0.5", "0", "--y", "1", "0", "--k", "inf"],
+         "ConstructionError"),
+        (["funk", "--interval", "--a", "0", "--b", "0.5", "--k", "1e-200"], "ConstructionError"),
+        (["projparam", "--metric", "klein", "--x0", "0", "0", "--y0", "1", "0",
+          "--cap", "1e-300"], "DomainError"),
+        (["projparam", "--metric", "euclidean", "--x0", "0", "0", "--y0", "1", "0",
+          "--cap", "1e300"], "DomainError"),
+        (["projparam", "--metric", "euclidean", "--x0", "0", "0", "--y0", "1e-300", "0"],
+         "DomainError"),
+        (["curvature", "--metric", "klein", "--x", "0", "0", "--y", "1e-300", "0",
+          "--samples", "1"], "DomainError"),
+    ])
+    def test_vacuous_or_overflowing_parameter(self, argv, kind, capsys):
+        # each of these once passed vacuously, printed a traceback, or (the
+        # nan tolerance) exited 2 with "tolerance": "nan" in its report
+        code, text = run_args(argv, capture=True)
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kind}:") and "\n" not in err.strip()
+
     def test_missing_flags(self):
         code, _ = run_args(["funk"], capture=True)
         assert code == 1
@@ -203,6 +235,58 @@ class TestErrors:
         code, _ = run_args(["run", "--config", str(path)], capture=True)
         assert code == 1
         assert "config" in capsys.readouterr().err
+
+
+class TestArgvProperty:
+    """Any numeric flag value ends in a report or in one error line."""
+
+    SPECIAL = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]
+
+    @staticmethod
+    def argv_strategy():
+        st = pytest.importorskip("hypothesis.strategies")
+        num = st.sampled_from(TestArgvProperty.SPECIAL) | st.floats(-1.5, 1.5).map(repr)
+        vec = st.lists(num, min_size=2, max_size=2)
+        metric = st.sampled_from(["klein", "funk-ball", "euclidean"]).map(
+            lambda m: ["--metric", m])
+        k = st.just([]) | num.map(lambda v: ["--k", v])
+        flag = lambda name: num.map(lambda v: [name, v])
+        vflag = lambda name: vec.map(lambda v: [name, *v])
+        cat = lambda *parts: st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+        fixed = lambda *args: st.just(list(args))
+        return st.one_of(
+            cat(fixed("validate", "--samples", "2"), metric, flag("--tolerance"), k),
+            cat(fixed("curvature", "--samples", "2"), metric, vflag("--x"), vflag("--y"), k,
+                st.just([]) | num.map(lambda c: ["--check-bound", "--c", c])),
+            cat(fixed("funk", "--interval"), flag("--a"), flag("--b"), k),
+            cat(fixed("funk"), flag("--eval-u"), flag("--eval-y"), k),
+            cat(fixed("funk"), metric, vflag("--x"), vflag("--y"), k),
+            cat(fixed("projparam", "--grid", "3"), metric, vflag("--x0"), vflag("--y0"),
+                flag("--cap"), k),
+            cat(fixed("geodesic"), metric, vflag("--x0"), vflag("--y0"), flag("--length"),
+                flag("--tol"), k),
+            cat(fixed("geodesic", "--connect"), metric, vflag("--x0"), vflag("--x1"),
+                flag("--tol"), k),
+        )
+
+    def test_no_escape_and_one_error_line(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=400, derandomize=True, deadline=None,
+                             database=None)
+        @hypothesis.given(self.argv_strategy())
+        def check(argv):
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code, _ = run_args(argv, capture=True)
+            assert code in (0, 1, 2)
+            if code == 1:
+                # a warning would print its own lines next to the error
+                assert len(err.getvalue().strip().splitlines()) == 1 and not caught
+
+        check()
 
 
 class TestRunConfig:

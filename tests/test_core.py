@@ -8,7 +8,7 @@ import pytest
 from finslerproj.core import (FinslerMetric, Point, SampledCurve, TangentVector,
                               arc_length, boundary_room, validate_homogeneity,
                               validate_strong_convexity)
-from finslerproj.errors import AccuracyError, DomainError
+from finslerproj.errors import AccuracyError, ConstructionError, DomainError
 from finslerproj.metrics import IntervalFunkMetric, klein_metric
 
 
@@ -90,6 +90,12 @@ class TestHomogeneity:
     def test_out_of_domain_sample_names_point(self, klein2):
         with pytest.raises(DomainError, match="1.5"):
             validate_homogeneity(klein2, [([1.5, 0.0], [1.0, 0.0], 2.0)])
+
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, klein2, tolerance):
+        # an infinite tolerance passed every sample; a nan one failed every sample
+        with pytest.raises(ConstructionError):
+            validate_homogeneity(klein2, [([0.1, 0.0], [1.0, 0.0], 2.0)], tolerance=tolerance)
 
 
 class TestStrongConvexity:

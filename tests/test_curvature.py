@@ -13,7 +13,7 @@ from finslerproj.curvature import (check_ricci_bound, curvature_matrix,
 from finslerproj.diffengine import fundamental_tensor
 from finslerproj.errors import (AccuracyError, ConstructionError, ConvexityError,
                                 DomainError, FinslerError, NotProjectiveError)
-from finslerproj.geodesics import spray_function, spray_vector
+from finslerproj.geodesics import spray_batch, spray_vector
 from finslerproj.metrics import (EuclideanMetric, QuadraticDomainSpec, RandersSpec,
                                  RiemannianMetric, RiemannianSpec, funk_ball,
                                  funk_from_quadratic, klein_metric, randers_metric)
@@ -115,12 +115,15 @@ BATCH_METRICS = {
     "randers_const2": lambda: randers_metric(
         RandersSpec(2, np.array([[1.2, 0.1], [0.1, 0.9]]), np.array([0.2, -0.1]))),
     "euclidean2": lambda: EuclideanMetric(2),
+    "klein2_blackbox": lambda: blackbox_klein(2),
+    "klein3_blackbox": lambda: blackbox_klein(3),
+    "radial_randers": lambda: radial_randers(),
 }
 
 
 class TestRicciScalarBatch:
-    """One jet pass over (N,) coefficient arrays reproduces N scalar passes
-    bit for bit."""
+    """One jet pass over (N,) coefficient arrays, or one stencil pass over
+    the whole stack, reproduces N scalar passes bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(BATCH_METRICS))
     def test_batch_equals_batches_of_one(self, name):
@@ -153,7 +156,8 @@ class TestRicciScalarBatch:
         assert ricci_scalar(metric, x, y).hex() == pinned
 
     def test_empty_batch(self):
-        assert ricci_scalar_batch(klein_metric(2), np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
+        for metric in (klein_metric(2), blackbox_klein(2)):  # jet and stencil routes
+            assert ricci_scalar_batch(metric, np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
 
     @pytest.mark.parametrize("name, bad", [
         ("klein", ([1.2, 0.0], [1.0, 0.0])),       # outside the ball
@@ -262,6 +266,28 @@ class TestRicciBound:
         with pytest.raises(ConstructionError):
             check_ricci_bound(klein2, [([0.0, 0.0], [1.0, 0.0])], -1.0)
 
+    @pytest.mark.parametrize("c, tolerance", [
+        (1.0, math.inf), (1.0, math.nan), (1.0, 0.0), (math.inf, 1e-3), (math.nan, 1e-3),
+        (1e200, 1e-3)])
+    def test_constant_and_tolerance_finite_and_positive(self, klein2, c, tolerance):
+        # an infinite tolerance passed every sample, even on a flat metric; a
+        # c of 1e200 squared to inf and reported a nan eigenvalue
+        with pytest.raises(ConstructionError):
+            check_ricci_bound(klein2, [([0.0, 0.0], [1.0, 0.0])], c, tolerance=tolerance)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"step": 0.0}, {"step": math.inf}, {"step": -0.05},
+        {"contraction_limit": math.nan}, {"contraction_limit": 0.0},
+        {"contraction_limit": math.inf}])
+    def test_tensor_parameters_finite_and_positive(self, klein2, kwargs):
+        # step=0 raised a bare ZeroDivisionError; a nan limit never raised
+        with pytest.raises(ConstructionError):
+            ricci_tensor(klein2, [0.1, 0.0], [1.0, 0.5], **kwargs)
+
+    def test_y_step_without_a_square(self, klein2):
+        with pytest.raises(DomainError):
+            ricci_tensor(klein2, [0.1, 0.0], [1e-300, 0.0])
+
 
 def blackbox_klein(n, calls=None):
     """The Klein tensor as a bare provider, with no Christoffels: its spray
@@ -341,10 +367,9 @@ class TestBlackBoxRoute:
     def test_xdata_computed_once_per_point(self):
         calls = []
         metric = blackbox_klein(2, calls)
-        G = spray_function(metric)
         x = np.array([0.3, -0.2])
         ys = [np.array(y) for y in ([0.7, 0.4], [-1.0, 0.2], [0.1, 3.0])]
-        shared = [G(x, y) for y in ys]
+        shared = spray_batch(metric, np.array([x] * len(ys)), np.array(ys))
         per_point = len(calls)
         fresh = [spray_vector(metric, x, y) for y in ys]
         assert len(calls) == 4 * per_point  # each fresh call rebuilds the x-data
@@ -352,10 +377,11 @@ class TestBlackBoxRoute:
 
     def test_y_dependent_tensor_not_shared(self):
         metric = radial_randers()
-        G = spray_function(metric)
         x = np.array([0.2, -0.3])
-        for y in ([0.6, 0.8], [-1.0, 0.1], [0.3, -0.9]):
-            assert hexes(G(x, np.array(y))) == hexes(spray_vector(metric, x, np.array(y)))
+        ys = np.array([[0.6, 0.8], [-1.0, 0.1], [0.3, -0.9]])
+        shared = spray_batch(metric, np.array([x] * len(ys)), ys)
+        for g, y in zip(shared, ys):
+            assert hexes(g) == hexes(spray_vector(metric, x, y))
 
     def test_analytic_subclass_spray_kept(self):
         class AnalyticKlein(RiemannianMetric):
@@ -364,16 +390,39 @@ class TestBlackBoxRoute:
 
         metric = AnalyticKlein(blackbox_klein(2).spec)
         x, y = np.array([0.3, -0.2]), np.array([0.7, 0.4])
-        assert hexes(spray_function(metric)(x, y)) == \
+        assert hexes(spray_batch(metric, x[None], y[None])[0]) == \
             hexes(klein_metric(2).spray_vector(x, y))
 
     def test_shared_spray_still_validates(self):
-        G = spray_function(blackbox_klein(2))
-        G(np.array([0.1, 0.0]), np.array([1.0, 0.0]))
+        metric = blackbox_klein(2)
+        spray_batch(metric, np.array([[0.1, 0.0]]), np.array([[1.0, 0.0]]))
         with pytest.raises(DomainError):
-            G(np.array([0.1, 0.0]), np.array([0.0, 0.0]))
+            spray_batch(metric, np.array([[0.1, 0.0], [0.1, 0.0]]),
+                        np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(DomainError):
-            G(np.array([1.1, 0.0]), np.array([1.0, 0.0]))
+            spray_batch(metric, np.array([[0.1, 0.0], [1.1, 0.0]]),
+                        np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+    def test_one_solve_per_distinct_point(self, monkeypatch):
+        # one sample's cloud shares its x, so the stencil visits 1 + 8n = 17
+        # distinct points; each builds its x-data from 1 + 4n tensor calls
+        # and contracts all its y's in one stacked solve
+        calls, solves = [], []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            solves.append(np.shape(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        metric = blackbox_klein(2, calls)
+        report = check_ricci_bound(metric, [([0.3, -0.2], [0.7, 0.4])], 1.0)
+        assert report.passed
+        cloud = len(curvature._tensor_offsets(2))
+        assert len(solves) == 17 and all(len(shape) == 3 for shape in solves)
+        assert sum(shape[0] for shape in solves) == cloud * (1 + 8 * 2 + 32 * 2 ** 2)
+        # besides the x-data: F^2 over the cloud, g and F at the sample
+        assert len(calls) == 17 * (1 + 4 * 2) + cloud + 2
 
 
 class TestRicciBoundBatch:

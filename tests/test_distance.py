@@ -61,6 +61,8 @@ class TestIntervalDistance:
             IntervalPair(1.0, 0.0)
         with pytest.raises(ConstructionError):
             IntervalPair(0.0, 0.5, k=0.0)
+        with pytest.raises(ConstructionError):
+            IntervalPair(0.0, 0.5, k=math.inf)
         assert funk_distance_interval(IntervalPair(0.0, 0.5)) == pytest.approx(
             math.log(2.0))
 

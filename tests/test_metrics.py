@@ -110,6 +110,15 @@ class TestIntervalFunk:
         with pytest.raises(ConstructionError):
             IntervalFunkMetric(-2.0)
 
+    @pytest.mark.parametrize("k", [math.inf, math.nan, 1e300, 1e-200])
+    def test_funk_constant_needs_a_finite_nonzero_square(self, k):
+        # k = inf divided norms to 0, k = 1e300 overflowed k ** 2
+        for build in (lambda: IntervalFunkMetric(k), lambda: interval_funk_eval(0.0, 1.0, k),
+                      lambda: QuadraticDomainSpec(alpha=-np.eye(2), beta=np.zeros(2),
+                                                  gamma=1.0, k=k)):
+            with pytest.raises(ConstructionError):
+                build()
+
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     def test_arc_length_matches_closed_distance(self, k, rng):
         metric = IntervalFunkMetric(k)
