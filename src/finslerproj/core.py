@@ -158,8 +158,15 @@ class FinslerMetric:
         return None
 
     def spray_vector(self, x, y):
-        """Analytic spray coefficients, or None."""
-        return None
+        """Analytic spray coefficients, or None. Where `spray_supports_jets`, the
+        closed form `_spray_impl` on floats, NaN where it divides by 0."""
+        if not self.spray_supports_jets:
+            return None
+        y = np.asarray(y, dtype=float)
+        try:
+            return np.array(self._spray_impl(np.asarray(x, dtype=float).tolist(), y.tolist()))
+        except ZeroDivisionError:
+            return np.full(y.shape, np.nan)
 
     def _spray_impl(self, x, y):
         """Jet-safe spray as a component list; only when spray_supports_jets."""

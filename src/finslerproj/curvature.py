@@ -173,10 +173,16 @@ def _ricci_and_energy(metric, X, Y):
     spray's jets or its stencils answer for the whole stack in one pass."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    # squared one by one as Python floats, so F^2 has the bits of norm() ** 2
-    f2 = np.array([f ** 2 for f in metric.norm_batch(X, Y).tolist()], dtype=float)
+    # each row runs at y 2^-e with max|y 2^-e| in [1/2, 1): Ric is 0-homogeneous, and
+    # the scaling is exact, so Ric is the same float at every power-of-two scale of y
+    e = np.frexp(np.abs(Y).max(axis=-1))[1]
+    Y = np.ldexp(Y, -e[..., None])
+    # squared one by one as Python floats, so F^2 has the bits of norm() ** 2 there
+    f2 = np.array([f ** 2 if f < 1e154 else f * f for f in metric.norm_batch(X, Y).tolist()])
     route = _ricci_scalar_jets if metric.spray_supports_jets else _ricci_scalar_stencil
-    return route(metric, X, Y, f2), f2
+    ric = route(metric, X, Y, f2)
+    with np.errstate(over="ignore"):  # F^2 at y itself may overflow where Ric does not
+        return ric, np.ldexp(f2, 2 * e)
 
 
 def ricci_scalar_batch(metric, X, Y) -> np.ndarray:

@@ -4,16 +4,21 @@ induced distance.
 Geodesics are integrated exclusively in arc-length form: the initial vector
 is normalized to unit Finsler norm and the solution of
 x'' + G(x, x') = 0 then keeps F(x, x') = 1 up to integrator error.
+
+The integrator is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, 1993),
+stepped as scipy's own DOP853 solver steps it; see `_solve_leg`. Each leg
+stacks its steps' interpolant rows for one Horner pass over many s.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 from scipy import integrate, optimize
+from scipy.linalg.blas import dgemv
 
 from .core import BOUNDARY_MARGIN, as_components, as_coords, boundary_room
 from .diffengine import central_d1, fundamental_tensor
@@ -73,13 +78,14 @@ def _spray_from_tensor(metric, x, y):
     return _solve(x, g0, rhs)
 
 
+def _spray(metric, x, y):
+    g = metric.spray_vector(x, y)
+    return _spray_from_tensor(metric, x, y) if g is None else np.asarray(g, dtype=float)
+
+
 def spray_vector(metric, x, y) -> np.ndarray:
     """Spray coefficients G(x, y) of the geodesic equation x'' + G = 0."""
-    x, y = metric.check_line_element(x, y)
-    g = metric.spray_vector(x, y)
-    if g is not None:
-        return np.asarray(g, dtype=float)
-    return _spray_from_tensor(metric, x, y)
+    return _spray(metric, *metric.check_line_element(x, y))
 
 
 def spray_batch(metric, X, Y) -> np.ndarray:
@@ -114,13 +120,56 @@ def spray_batch(metric, X, Y) -> np.ndarray:
 # Segments
 # ======================================================================
 
+# DOP853's tableau from scipy's public class, as (s, a): stage s sums the stages
+# before it with weights a, 13 to 15 for dense output. The spray has no s: no C
+_DOP = integrate.DOP853
+_STAGES = [(s, row[:s].copy()) for rows, first in ((_DOP.A[1:], 1), (_DOP.A_EXTRA, 13))
+           for s, row in enumerate(rows, first)]
+_EPS = np.finfo(float).eps
+
+
+def _horner(step, s):
+    """A step's interpolant at s: scipy's nested x, 1 - x form over its seven
+    rows, on floats, or column by column where `step` is an array with one
+    step per column and s one value each. A step is [start, h, y0..., rows...]."""
+    x, m = (s - step[0]) / step[1], (len(step) - 2) // 8
+    w, out = (x, 1 - x) * 3 + (x,), []  # w[i]: the factor after row i
+    for j in range(2, 2 + m):
+        acc = 0.0
+        for i in range(6, -1, -1):
+            acc = (acc + step[j + m * (i + 1)]) * w[i]
+        out.append(acc + step[j])
+    return out
+
+
+class _Leg:
+    """One direction of a geodesic from s = 0: its nodes t with states y, and per
+    step [start, h, start state, seven interpolant rows], also as one array."""
+
+    def __init__(self, direction, t, y, steps, counts):
+        self.direction, self.t, self.y, self._steps, self.counts = direction, t, y, steps, counts
+        self._keys = [direction * tk for tk in t]  # increasing, for the search
+        self._stacked = np.array(self._keys), np.array(steps)
+
+    def at(self, s):  # OdeSolution's pick of the step for s
+        k = bisect.bisect_left(self._keys, self.direction * s)
+        return _horner(self._steps[min(max(k - 1, 0), len(self._steps) - 1)], s)
+
+    def at_all(self, ss):
+        """at(s) for every s of the array ss, bit for bit, in one Horner pass."""
+        keys, steps = self._stacked
+        S = steps[np.clip(np.searchsorted(keys, self.direction * ss) - 1, 0, len(steps) - 1)]
+        return np.stack(_horner(S.T, ss), axis=-1)
+
+
 class GeodesicSegment:
     """Arc-length parametrized geodesic with dense output.
 
     The anchor sits at s = 0; the segment covers [s_min, s_max] with
     s_min <= 0 <= s_max. `samples` collects the integrator steps as
     (s, x, v) triples; `truncated` flags a boundary stop before the
-    requested length was reached.
+    requested length was reached. `steps`, `rejected` and `nfev` sum the
+    accepted and rejected DOP853 steps and right-hand-side calls of its legs.
     """
 
     def __init__(self, metric, anchor_state, forward=None, backward=None,
@@ -131,21 +180,19 @@ class GeodesicSegment:
         self._backward = backward
         self.requested_backward, self.requested_forward = requested
         self.truncated_backward, self.truncated_forward = truncated
-        self.s_min = float(backward.t[-1]) if backward is not None else 0.0
-        self.s_max = float(forward.t[-1]) if forward is not None else 0.0
-        ss, states = [], []
+        self.s_min = backward.t[-1] if backward is not None else 0.0
+        self.s_max = forward.t[-1] if forward is not None else 0.0
+        ss, states = [0.0], [self._anchor.tolist()]
         if backward is not None:
-            ss.extend(backward.t[::-1].tolist())
-            states.extend(backward.y[:, ::-1].T.tolist())
-        ss.append(0.0)
-        states.append(self._anchor.tolist())
+            ss, states = backward.t[::-1] + ss, backward.y[::-1] + states
         if forward is not None:
-            ss.extend(forward.t.tolist())
-            states.extend(forward.y.T.tolist())
+            ss, states = ss + forward.t, states + forward.y
         # the legs meet at the anchor; keep s strictly increasing
         keep = [0] + [i for i in range(1, len(ss)) if ss[i] > ss[i - 1]]
         self.sample_s = np.asarray([ss[i] for i in keep])
         self.sample_states = np.asarray([states[i] for i in keep])
+        legs = [leg.counts for leg in (forward, backward) if leg is not None]
+        self.steps, self.rejected, self.nfev = map(sum, zip((0, 0, 0), *legs))
 
     @property
     def truncated(self):
@@ -164,17 +211,14 @@ class GeodesicSegment:
         s = float(s)
         self._check_inside(s)
         s = min(max(s, self.s_min), self.s_max)
-        if s >= 0.0:
-            sol = self._forward
-        else:
-            sol = self._backward
-        if sol is None:
+        leg = self._forward if s >= 0.0 else self._backward
+        if leg is None:
             return self._anchor.copy()
-        return np.asarray(sol.sol(s), dtype=float)
+        return np.array(leg.at(s))
 
     def states(self, ss) -> np.ndarray:
         """Dense-output states (x, v) at every s of ss, shape (len(ss), 2n);
-        row k equals state(ss[k]), with one interpolant call per leg."""
+        row k equals state(ss[k]), with one Horner pass per leg."""
         ss = np.asarray(ss, dtype=float).ravel()
         if ss.size:
             self._check_inside(float(ss.min()))
@@ -182,10 +226,10 @@ class GeodesicSegment:
         ss = np.clip(ss, self.s_min, self.s_max)
         out = np.empty((ss.size, self._anchor.size))
         fwd = ss >= 0.0
-        for side, sol in ((fwd, self._forward), (~fwd, self._backward)):
+        for side, leg in ((fwd, self._forward), (~fwd, self._backward)):
             if not side.any():
                 continue
-            out[side] = self._anchor if sol is None else sol.sol(ss[side]).T
+            out[side] = self._anchor if leg is None else leg.at_all(ss[side])
         return out
 
     def position(self, s):
@@ -206,14 +250,10 @@ class GeodesicSegment:
     def clipped(self, s_end) -> "GeodesicSegment":
         """The forward leg up to arc length s_end, sharing this segment's
         dense output; the state at s_end becomes the last sample."""
-        s_end = float(s_end)
-        fwd = self._forward
-        keep = fwd.t < s_end
-        leg = SimpleNamespace(t=np.append(fwd.t[keep], s_end),
-                              y=np.column_stack([fwd.y[:, keep], fwd.sol(s_end)]),
-                              sol=fwd.sol)
-        return GeodesicSegment(self.metric, self._anchor, forward=leg,
-                               requested=(0.0, s_end))
+        s_end, fwd = float(s_end), self._forward
+        keep = sum(s < s_end for s in fwd.t)
+        return GeodesicSegment(self.metric, self._anchor, requested=(0.0, s_end), forward=_Leg(
+            1.0, fwd.t[:keep] + [s_end], fwd.y[:keep] + [fwd.at(s_end)], fwd._steps, fwd.counts))
 
     def unit_speed_drift(self) -> float:
         worst = 0.0
@@ -223,40 +263,106 @@ class GeodesicSegment:
 
 
 def _solve_leg(metric, z0, s_end, rtol, atol, margin, escape_as_truncation=False):
-    n = metric.dimension
-    analytic = metric.spray_vector
+    """DOP853 for z = (x, v), z' = (v, -G(x, v)) from z0 at s = 0 to s_end, step for
+    step scipy's DOP853 with dense output and a terminal event: its initial step,
+    E5/E3 error norm, step factors and 10-ulp step floor. Stage states are BLAS row
+    sums, the spray runs on floats, and a NaN or ZeroDivisionError stage, dense
+    output's included, rejects the step. On a bounded domain the leg ends where phi
+    falls to margin * domain_scale, by brentq on the step's interpolant. Returns
+    (leg, truncated); the floor raises StiffnessError or truncates an extension."""
+    n, m = metric.dimension, len(z0)
+    counts = [0, 0, 0]  # accepted steps, rejected steps, right-hand-side calls
+    # the float closed form, or views of one state array, as the spray always saw
+    spray = metric._spray_impl if metric.spray_supports_jets else (
+        lambda x, v: _spray(metric, *np.split(np.array(x + v), 2)).tolist())
 
-    def rhs(s, z):
-        x = z[:n]
+    def fun(z):
+        counts[2] += 1
         v = z[n:]
-        G = analytic(x, v)
-        if G is None:
-            G = _spray_from_tensor(metric, x, v)
-        out = np.empty(2 * n)
-        out[:n] = v
-        out[n:] = -G
-        return out
+        try:
+            G = spray(z[:n], v)
+        except ZeroDivisionError:  # a stage on the closed form's own boundary
+            G = [math.nan] * n
+        return v + [-g for g in G]
 
-    events = None
-    if metric.bounded_domain:
-        threshold = margin * metric.domain_scale
-
-        def boundary(s, z):
-            return metric.domain_value(z[:n]) - threshold
-
-        boundary.terminal = True
-        events = [boundary]
-
-    sol = integrate.solve_ivp(rhs, (0.0, s_end), z0, method="DOP853",
-                              rtol=rtol, atol=atol, dense_output=True, events=events)
-    if sol.status == -1:
+    threshold = margin * metric.domain_scale if metric.bounded_domain else None
+    gap = lambda z: metric.domain_value(np.array(z[:n])) - threshold
+    direction, rtol = math.copysign(1.0, s_end), max(rtol, 100 * _EPS)
+    t, y, f = 0.0, z0.tolist(), fun(z0.tolist())
+    # scipy's select_initial_step (error order 7), on numpy scalars as there
+    ya, fa = np.array(y), np.array(f)
+    scale = atol + np.abs(ya) * rtol
+    d0, d1 = (np.linalg.norm(v / scale) / m ** 0.5 for v in (ya, fa))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(s_end))
+    f1 = np.array(fun((ya + h0 * direction * fa).tolist()))
+    d2 = np.linalg.norm((f1 - fa) / scale) / m ** 0.5 / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = float(min(100 * h0, h1, abs(s_end)))
+    g = None if threshold is None else gap(y)
+    ts, ys, steps = [t], [y], []
+    K = np.empty((16, m))  # the stages, one row each, and the rows each stage sums
+    stages, KB, KE = [(s, a, K[:s].T) for s, a in _STAGES], K[:12].T, K[:13].T
+    status, step_rejected = None, False
+    while status is None:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if not step_rejected:  # a new step starts at least at the floor
+            h_abs = max(h_abs, min_step)
+        if not h_abs >= min_step:  # a NaN step, where scipy would loop forever, fails too
+            status = -1
+            break
+        t_new = t + h_abs * direction
+        if direction * (t_new - s_end) > 0:
+            t_new = s_end
+        h = t_new - t
+        h_abs = abs(h)
+        K[0] = f
+        for s, a, Ks in stages[:11]:
+            K[s] = fun([yj + q * h for yj, q in zip(y, dgemv(1.0, Ks, a).tolist())])
+        y_new = [yj + h * q for yj, q in zip(y, dgemv(1.0, KB, _DOP.B).tolist())]
+        K[12] = f_new = fun(y_new)
+        yn = np.array(y_new)
+        scale = atol + np.maximum(np.abs(ya), np.abs(yn)) * rtol
+        # np.linalg.norm(err) ** 2 of the E5 and E3 error estimates
+        s5, s3 = (np.sqrt(e @ e) ** 2 for e in (dgemv(1.0, KE, E) / scale
+                                                 for E in (_DOP.E5, _DOP.E3)))
+        error = 0.0 if s5 == s3 == 0 else float(h_abs * s5 / np.sqrt((s5 + 0.01 * s3) * m))
+        if error < 1:  # the interpolant's stages: one past the boundary rejects the step too
+            for s, a, Ks in stages[11:]:
+                K[s] = fun([yj + q * h for yj, q in zip(y, dgemv(1.0, Ks, a).tolist())])
+            error = error if np.isfinite(K[13:]).all() else math.nan
+        if not error < 1:
+            h_abs *= max(0.2, 0.9 * error ** -0.125)
+            step_rejected = True
+            counts[1] += 1
+            continue
+        factor = 10.0 if error == 0 else min(10.0, 0.9 * error ** -0.125)
+        h_abs *= min(1.0, factor) if step_rejected else factor
+        step_rejected = False
+        counts[0] += 1
+        status = 0 if direction * (t_new - s_end) >= 0 else None
+        dy = [b - a for a, b in zip(y, y_new)]
+        step = (([t, h] + y + dy) + [h * a - b for a, b in zip(f, dy)]
+                + [2 * b - h * (c + a) for a, b, c in zip(f, dy, f_new)]
+                + (h * (_DOP.D @ K)).ravel().tolist())
+        steps.append(step)
+        t, y, f, ya = t_new, y_new, f_new, yn
+        if threshold is not None:
+            g_new = gap(y)
+            if g <= 0 <= g_new or g >= 0 >= g_new:  # scipy's terminal event, either direction
+                t = optimize.brentq(lambda s: gap(_horner(step, s)), step[0], t,
+                                    xtol=4 * _EPS, rtol=4 * _EPS)
+                y, status = _horner(step, t), 1
+            g = g_new
+        if len(ts) > 1 and ts[-1] == t:  # the event sits on the last node
+            del steps[-1]
+        else:
+            ts.append(t)
+            ys.append(y)
+    if status == -1 and not (escape_as_truncation and len(ts) > 1):
         # geodesics escaping the chart in finite arc length end the maximal
         # extension there; plain IVPs report the underflow as an error
-        if escape_as_truncation and sol.sol is not None and len(sol.t) > 1:
-            return sol, True
-        raise StiffnessError(f"geodesic integration failed: {sol.message}")
-    truncated = sol.status == 1
-    return sol, truncated
+        raise StiffnessError(f"geodesic integration failed: step size underflow at s={t!r}")
+    return _Leg(direction, ts, ys, steps, counts), status != 0
 
 
 def _unit_state(metric, x0, y0):

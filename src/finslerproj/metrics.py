@@ -53,9 +53,6 @@ class EuclideanMetric(FinslerMetric):
     def metric_tensor(self, x, y):
         return np.eye(self.dimension)
 
-    def spray_vector(self, x, y):
-        return np.zeros(self.dimension)
-
     def _spray_impl(self, x, y):
         return [0.0] * self.dimension
 
@@ -153,18 +150,15 @@ class KleinMetric(RiemannianMetric):
         )
         super().__init__(spec)
 
-    def spray_vector(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        phi = 1.0 - float(x @ x)
-        if phi <= 0.0:
-            # a trial stage on or past the sphere: NaN makes the integrator
-            # reject the step and shrink it instead of raising
-            return np.full(y.shape, np.nan)
-        return (2.0 * float(x @ y) / phi) * y
+    spray_vector = FinslerMetric.spray_vector  # the closed form, not the Christoffels
 
     def _spray_impl(self, x, y):
-        p = 2.0 * _dot(x, y) / (1.0 - _dot(x, x))
+        phi = 1.0 - _dot(x, x)
+        if isinstance(phi, float) and phi <= 0.0:
+            # a trial stage on or past the sphere: NaN makes the integrator
+            # reject the step and shrink it instead of raising
+            return [math.nan] * len(y)
+        p = 2.0 * _dot(x, y) / phi
         return [p * yi for yi in y]
 
     def _norm_impl(self, x, y):
@@ -307,18 +301,9 @@ class QuadraticFunkMetric(FinslerMetric):
                                self.coefficient_oneform(x),
                                np.asarray(y, dtype=float)) / self.spec.k ** 2
 
-    def spray_vector(self, x, y):
-        # projectively flat with factor k F, so G = k F y; the k cancels
-        # against the 1/k inside F. A phi of 0 gives NaN, as Klein's sphere does
-        y = np.asarray(y, dtype=float)
-        try:
-            theta = _funk_theta(self._alpha, self._beta, self.spec.gamma,
-                                np.asarray(x, dtype=float).tolist(), y.tolist())
-        except ZeroDivisionError:
-            return np.full(y.shape, np.nan)
-        return theta * y
-
     def _spray_impl(self, x, y):
+        # projectively flat with factor k F, so G = k F y; the k cancels
+        # against the 1/k inside F
         theta = _funk_theta(self._alpha, self._beta, self.spec.gamma, x, y)
         return [theta * yi for yi in y]
 
@@ -459,14 +444,9 @@ class RandersMetric(FinslerMetric):
         return _randers_tensor(self.spec.a_at(x), self.spec.b_at(x),
                                np.asarray(y, dtype=float))
 
-    def spray_vector(self, x, y):
-        if self._constant:
-            return np.zeros(self.dimension)  # x-independent norm, straight lines
-        return None
-
     def _spray_impl(self, x, y):
         if self._constant:
-            return [0.0] * self.dimension
+            return [0.0] * self.dimension  # x-independent norm, straight lines
         raise NotImplementedError
 
     def one_form_norm(self, x) -> float:

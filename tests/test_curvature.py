@@ -83,6 +83,28 @@ class TestRicciScalar:
         for lam in (0.5, 1.3, 2.0):
             assert abs(ricci_scalar(ball2, x, lam * np.asarray(y)) - base) <= 1e-4
 
+    def test_power_of_two_scales_of_y_are_exact(self):
+        # F^2 underflows from about 2^-537 y and overflows from about 2^512 y;
+        # Ric runs at y 2^-e with max|y 2^-e| in [1/2, 1), so no scale shows
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        metrics = {"klein2": klein_metric(2), "klein3": klein_metric(3),
+                   "funk-ball3": funk_ball(3), "blackbox-klein2": blackbox_klein(2)}
+        side = st.floats(0.125, 8.0) | st.floats(-8.0, -0.125)
+
+        @hypothesis.settings(max_examples=120, derandomize=True, deadline=None,
+                             database=None)
+        @hypothesis.given(st.sampled_from(sorted(metrics)), st.integers(-1000, 1000),
+                          st.integers(0, 2 ** 32 - 1), st.lists(side, min_size=3, max_size=3))
+        def check(name, k, seed, y):
+            metric = metrics[name]
+            x = metric.random_interior_point(np.random.default_rng(seed))
+            y = np.array(y[:metric.dimension])
+            assert ricci_scalar(metric, x, np.ldexp(y, k)).hex() == \
+                ricci_scalar(metric, x, y).hex()
+
+        check()
+
     def test_fd_fallback_path_matches_jets(self, klein2):
         # strip the jet capability to exercise the stencil pipeline
         class NoJets(type(klein2)):

@@ -257,12 +257,13 @@ class TestPseudoDistance:
 
     @pytest.mark.parametrize("make, x, y, canonical, geodesic", [
         (lambda: klein_metric(2), [0.1, 0.2], [-0.3, 0.4],
-         "0x1.3a616c4b8999dp-1", "0x1.fbbae56977c65p-2"),
+         "0x1.3a616c4b898dfp-1", "0x1.fbbae56977c62p-2"),
         (lambda: funk_ball(3), [0.1, 0.2, 0.0], [-0.3, 0.4, 0.0],
          "0x1.69e67a5a436cap-2", "0x1.3a616c6650078p-1"),
     ])
     def test_pinned_values(self, make, x, y, canonical, geodesic):
-        # float.hex values frozen from the numpy-scalar closed forms
+        # float.hex values frozen from the closed forms on floats; the Klein pair
+        # from its one spray formula, the jet closed form
         report = pseudo_distance_upper(make(), x, y,
                                        PseudoDistanceOptions(budget=12, segments=2))
         assert report.canonical_value.hex() == canonical

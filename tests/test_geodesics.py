@@ -4,13 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from finslerproj import geodesics
+from finslerproj.core import BOUNDARY_MARGIN
 from finslerproj.diffengine import fundamental_tensor
 from finslerproj.errors import ConnectivityError, DomainError, StiffnessError
 from finslerproj.geodesics import (connect, extend_geodesic, finsler_distance,
                                    integrate_geodesic, spray_vector)
-from finslerproj.metrics import EuclideanMetric, RiemannianMetric, RiemannianSpec
+from finslerproj.metrics import (EuclideanMetric, RandersSpec, RiemannianMetric,
+                                 RiemannianSpec, funk_ball, klein_metric, randers_metric)
+
+from test_curvature import blackbox_klein
 
 
 def christoffel_spray_oracle(metric, x, y, h=1e-5):
@@ -185,6 +190,125 @@ class TestIntegration:
 
         with pytest.raises(StiffnessError):
             integrate_geodesic(Blowup(2), [0.0, 0.0], [1.0, 0.0], 10.0)
+
+
+def solve_ivp_reference(metric, x0, y0, end, margin):
+    """scipy's solve_ivp DOP853 on the same unit-speed start, right-hand side,
+    tolerances and terminal boundary event as the stepper."""
+    n = metric.dimension
+    z0 = geodesics._unit_state(metric, x0, y0)
+
+    def rhs(s, z):
+        g = metric.spray_vector(z[:n], z[n:])
+        g = geodesics._spray_from_tensor(metric, z[:n], z[n:]) if g is None else g
+        return np.concatenate([z[n:], -np.asarray(g, dtype=float)])
+
+    def boundary(s, z):
+        return metric.domain_value(z[:n]) - margin * metric.domain_scale
+
+    boundary.terminal = True
+    return integrate.solve_ivp(rhs, (0.0, end), z0, method="DOP853", rtol=1e-11,
+                               atol=1e-12, dense_output=True,
+                               events=[boundary] if metric.bounded_domain else None)
+
+
+def spray_cut_at_half(jets):
+    """Flat metric whose spray raises ZeroDivisionError for x^0 >= 1/2, through
+    the float closed form (jets) or the analytic provider."""
+    class Cut(EuclideanMetric):
+        name = "cut"
+        spray_supports_jets = jets
+
+        def spray_vector(self, x, y):
+            return np.array(self._spray_impl(x, y))
+
+        def _spray_impl(self, x, y):
+            if x[0] >= 0.5:
+                raise ZeroDivisionError("past the cut")
+            return [0.0] * len(y)
+
+    return Cut(2)
+
+
+STEPPER_METRICS = {
+    "klein2": lambda: klein_metric(2), "klein3": lambda: klein_metric(3),
+    "ball2": lambda: funk_ball(2), "blackbox-klein2": lambda: blackbox_klein(2),
+    "randers": lambda: randers_metric(RandersSpec(2, np.eye(2), np.array([0.3, -0.2]))),
+}
+
+
+class TestStepper:
+    """The float DOP853 stepper against scipy's solve_ivp, which stays the
+    reference here only."""
+
+    @pytest.mark.parametrize("name", sorted(STEPPER_METRICS))
+    @pytest.mark.parametrize("x0, y0", [([0.1, 0.2, -0.1], [0.3, -0.4, 0.2]),
+                                        ([-0.5, 0.3, 0.2], [-0.2, -0.6, 0.1])])
+    def test_integration_matches_solve_ivp(self, name, x0, y0):
+        metric = STEPPER_METRICS[name]()
+        x0, y0 = x0[:metric.dimension], y0[:metric.dimension]
+        seg = integrate_geodesic(metric, x0, y0, 1.5)
+        ref = solve_ivp_reference(metric, x0, y0, 1.5, BOUNDARY_MARGIN)
+        assert seg.steps == len(ref.t) - 1 and seg.s_max == pytest.approx(ref.t[-1], abs=1e-12)
+        ss = np.linspace(0.0, seg.s_max, 50)
+        assert np.abs(seg.states(ss) - ref.sol(ss).T).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["klein2", "klein3", "ball2", "randers"])
+    def test_extension_interior_matches_solve_ivp(self, name):
+        metric = STEPPER_METRICS[name]()
+        x0, y0 = [0.1, 0.2, -0.1][:metric.dimension], [0.3, -0.4, 0.2][:metric.dimension]
+        seg = extend_geodesic(metric, x0, y0, cap=20.0)
+        for end, side in ((20.0, np.linspace(0.0, min(5.0, seg.s_max), 40)),
+                          (-20.0, np.linspace(max(-5.0, seg.s_min), 0.0, 40))):
+            ref = solve_ivp_reference(metric, x0, y0, end, geodesics.EXTENSION_MARGIN)
+            assert np.abs(seg.states(side) - ref.sol(side).T).max() <= 1e-10
+
+    def test_tableau_is_hairers(self):
+        # c2 is the first row sum of A: the stepper reads A and B, not C
+        (s, a), = geodesics._STAGES[:1]
+        assert s == 1 and a.tolist() == [0.526001519587677318785587544488e-01]
+        assert geodesics._DOP.B[0] == 5.42937341165687622380535766363e-2
+
+    @pytest.mark.parametrize("jets", [True, False])
+    def test_zero_division_stage_is_a_rejected_step(self, jets):
+        metric = spray_cut_at_half(jets)
+        with pytest.raises(StiffnessError):
+            integrate_geodesic(metric, [0.0, 0.0], [1.0, 0.0], 2.0)
+        seg = extend_geodesic(metric, [0.0, 0.0], [1.0, 0.0], cap=2.0)
+        assert seg.truncated_forward and 0.49 < seg.s_max < 0.5
+        assert not seg.truncated_backward and seg.s_min == -2.0
+
+    def test_dense_output_stage_past_the_sphere_rejects_the_step(self, klein3):
+        # near the sphere a step passes its error test while one of its three
+        # dense-output stages lands past the sphere; kept, its NaN interpolant
+        # made brentq raise ValueError while locating the boundary stop
+        x0 = [float.fromhex(v) for v in ("-0x1.a1b2523189779p-2", "0x1.1e5d511cce7d3p-3",
+                                         "-0x1.0404c1652ebf7p-4")]
+        y0 = [float.fromhex(v) for v in ("0x1.3968290aa9fd1p-1", "-0x1.e961694d5b558p-2",
+                                         "0x1.0e8d7abd9397dp-2")]
+        seg = extend_geodesic(klein3, x0, y0)
+        for s in (seg.s_min, seg.s_max):
+            x = seg.position(s)
+            assert 1.0 - x @ x == pytest.approx(1e-12, rel=1e-2)
+        # the rejected step's three dense-output calls come on top
+        assert seg.nfev == 2 * 2 + 12 * (seg.steps + seg.rejected) + 3 * (seg.steps + 1)
+
+    def test_nan_step_fails_instead_of_looping(self, klein2):
+        # tol = 0 makes the error scale 0 at a zero component: the first step
+        # is NaN, on which scipy's loop never ends
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(StiffnessError):
+            integrate_geodesic(klein2, [0.0, 0.0], [1.0, 0.0], 1.0, tol=0.0)
+
+    def test_integration_counts_repeat_and_add_up(self, klein2, ball2):
+        for build in (lambda: extend_geodesic(klein2, [0.1, 0.2], [0.3, -0.4]),
+                      lambda: integrate_geodesic(ball2, [0.2, 0.1], [-0.5, 1.0], 1.5),
+                      lambda: integrate_geodesic(ball2, [0.2, 0.1], [-0.5, 1.0], 1.5).clipped(0.7)):
+            seg = build()
+            legs = (seg.s_min < 0) + (seg.s_max > 0)
+            assert seg.rejected >= 0 and seg.steps > 0
+            assert seg.nfev == 2 * legs + 12 * (seg.steps + seg.rejected) + 3 * seg.steps
+            assert (seg.steps, seg.rejected, seg.nfev) == (build().steps, build().rejected,
+                                                           build().nfev)
 
 
 def klein_distance(p, q):
