@@ -52,15 +52,34 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _read_json(path, what):
+    """The JSON object in the file at path; anything else is a ConfigError."""
+    try:
+        with open(path) as fh:
+            value = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return value
+
+
+def _write_text(path, text, out):
+    """text to the file at path, or to out when path is None."""
+    if path is None:
+        out.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def write_csv(path, header, rows, out):
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        out.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write_text(path, "\n".join(lines) + "\n", out)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,22 +97,19 @@ def build_metric(kind, n=2, k=1.0, spec=None):
         return klein_metric(n)
     if kind == "funk-ball":
         return funk_ball(n, k=k)
-    if kind == "funk-quadratic":
-        for key in ("alpha", "beta", "gamma"):
+    if kind in ("funk-quadratic", "randers"):
+        keys = ("alpha", "beta", "gamma") if kind == "funk-quadratic" else ("a", "b")
+        for key in keys:
             if key not in spec:
-                raise ConfigError(f"funk-quadratic needs spec field '{key}'")
-        return funk_from_quadratic(QuadraticDomainSpec(
-            alpha=np.asarray(spec["alpha"], dtype=float),
-            beta=np.asarray(spec["beta"], dtype=float),
-            gamma=float(spec["gamma"]), k=float(spec.get("k", k))))
-    if kind == "randers":
-        for key in ("a", "b"):
-            if key not in spec:
-                raise ConfigError(f"randers needs spec field '{key}'")
-        return randers_metric(RandersSpec(
-            dimension=n,
-            a_provider=np.asarray(spec["a"], dtype=float),
-            b_provider=np.asarray(spec["b"], dtype=float)))
+                raise ConfigError(f"{kind} needs spec field '{key}'")
+        try:
+            arrays = [np.asarray(spec[key], dtype=float) for key in keys[:2]]
+            scalars = [float(spec["gamma"]), float(spec.get("k", k))] if len(keys) == 3 else []
+        except (TypeError, ValueError, OverflowError) as exc:  # 10**400 overflows a float
+            raise ConfigError(f"{kind} spec: {exc}") from None
+        if kind == "randers":
+            return randers_metric(RandersSpec(n, *arrays))
+        return funk_from_quadratic(QuadraticDomainSpec(*arrays, *scalars))
     if kind == "interval-funk":
         return IntervalFunkMetric(k)
     raise ConfigError(f"unknown metric kind '{kind}'; choose from {METRIC_KINDS}")
@@ -102,9 +118,11 @@ def build_metric(kind, n=2, k=1.0, spec=None):
 def _metric_from_args(args):
     spec = getattr(args, "spec_blob", None)
     if spec is None and getattr(args, "spec", None):
-        with open(args.spec) as fh:
-            spec = json.load(fh)
-    return build_metric(args.metric, n=args.n, k=args.k, spec=spec)
+        spec = _read_json(args.spec, "spec")
+    metric = build_metric(args.metric, n=args.n, k=args.k, spec=spec)
+    if isinstance(metric, IntervalFunkMetric) and args.cmd != "funk":
+        raise ConfigError(f"{args.cmd} needs an n >= 2 metric")
+    return metric
 
 
 def _add_metric_options(p, default="klein"):
@@ -115,13 +133,7 @@ def _add_metric_options(p, default="klein"):
 
 
 def _emit(args, payload, out):
-    text = dump_json(payload)
-    path = getattr(args, "json", None)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        out.write(text + "\n")
+    _write_text(getattr(args, "json", None) or None, dump_json(payload) + "\n", out)
 
 
 # ----------------------------------------------------------------------
@@ -130,8 +142,6 @@ def _emit(args, payload, out):
 
 def cmd_validate(args, out):
     metric = _metric_from_args(args)
-    if isinstance(metric, IntervalFunkMetric):
-        raise ConfigError("validate needs an n >= 2 metric")
     rng = np.random.default_rng(args.seed)
     elements = metric.random_line_elements(args.samples, rng)
     homog = validate_homogeneity(
@@ -279,12 +289,7 @@ def cmd_verify_all(args, out):
     results = run_all(progress=lambda line: out.write(line + "\n"))
     payload = {"passed": all(r.passed for r in results),
                "criteria": [r.to_dict() for r in results]}
-    text = dump_json(payload)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        out.write(text + "\n")
+    _emit(args, payload, out)
     return 0 if payload["passed"] else 2
 
 
@@ -298,18 +303,17 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(raw, dict) or "command" not in raw:
+        raw = _read_json(path, "config")
+        command, metric, seed = raw.get("command"), raw.get("metric", {}), raw.get("seed", 0)
+        if not isinstance(command, dict):
             raise ConfigError("config needs a top-level 'command' object")
-        command = raw["command"]
-        if "name" not in command:
-            raise ConfigError("config field 'command.name' is required")
-        return cls(metric=raw.get("metric", {}), command=command,
-                   seed=int(raw.get("seed", 0)))
+        if not isinstance(command.get("name"), str):
+            raise ConfigError("config field 'command.name' is required, as a string")
+        if not isinstance(metric, dict):
+            raise ConfigError("config field 'metric' must be an object")
+        if type(seed) is not int:
+            raise ConfigError(f"config field 'seed' must be an integer, got {seed!r}")
+        return cls(metric=metric, command=command, seed=seed)
 
     def to_argv(self):
         """(argv, leftover-spec-fields) equivalent to this configuration."""

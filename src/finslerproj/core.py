@@ -4,7 +4,7 @@ base class, axiom validators, and arc length."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import integrate, interpolate
@@ -218,8 +218,30 @@ def boundary_room(metric, x) -> float:
 # Validation reports
 # ======================================================================
 
+class _Report:
+    """to_dict() for a report dataclass: its fields, less those named in
+    `_hidden`, plus the attributes `_added` maps to keys, as plain Python data
+    (numpy as lists and floats, a nested report through its own to_dict)."""
+
+    _hidden = ()
+    _added = {}
+
+    def to_dict(self):
+        out = {f.name: _plain(getattr(self, f.name)) for f in fields(self)
+               if f.name not in self._hidden}
+        return out | {key: _plain(getattr(self, name)) for key, name in self._added.items()}
+
+
+def _plain(value):
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return [_plain(v) for v in value] if isinstance(value, (list, tuple)) else value
+
+
 @dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(_Report):
     name: str
     residual: float
     tolerance: float
@@ -227,10 +249,11 @@ class CheckRecord:
 
 
 @dataclass
-class ValidationReport:
+class ValidationReport(_Report):
     """Named residual checks; a check passes iff residual <= tolerance."""
 
     checks: list = field(default_factory=list)
+    _added = {"passed": "passed"}
 
     def add(self, name, residual, tolerance):
         self.checks.append(CheckRecord(name, float(residual), float(tolerance),
@@ -239,16 +262,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_dict(self):
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "residual": c.residual,
-                 "tolerance": c.tolerance, "passed": c.passed}
-                for c in self.checks
-            ],
-        }
 
 
 def validate_homogeneity(metric, samples, tolerance=1e-10) -> ValidationReport:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_components, as_coords, boundary_room, positive_finite
+from .core import _Report, as_components, as_coords, boundary_room, positive_finite
 from .diffengine import (Jet, central_d1, d1_combine, d1_points, extract_coefficient,
                          fundamental_tensor)
 from .errors import AccuracyError, DomainError, NotProjectiveError
@@ -212,7 +212,6 @@ class CurvatureData:
     ric: float
     ric_tensor: np.ndarray
     ell: np.ndarray
-    curvature_matrix: np.ndarray | None = None
 
     @property
     def contraction_residual(self) -> float:
@@ -240,86 +239,67 @@ def _tensor_offsets(n):
     return offsets
 
 
-def _tensor_cloud(metric, x, y, step):
-    """The validated (x, y), the y-step h and the offset cloud y + h o over
-    the offsets o of _tensor_offsets, where ricci_tensor samples F^2 Ric."""
-    x, y = metric.check_line_element(as_coords(x), as_components(y))
-    h = step * _yscale(y)
-    if not 0.0 < h * h < math.inf:  # the second differences divide by h^2
-        raise DomainError(f"ricci_tensor's y-step {h!r} at y={y.tolist()} has no usable square")
-    return x, y, h, y + h * np.array(_tensor_offsets(metric.dimension), dtype=float)
-
-
-def _assemble_tensor(metric, x, y, h, weighted, contraction_limit) -> CurvatureData:
-    """Ricci tensor at (x, y) from F^2 Ric on its cloud, differenced in y
-    with O(h^4) stencils; raises AccuracyError on a contraction residual
-    above contraction_limit."""
-    n = metric.dimension
-    weighted = dict(zip(_tensor_offsets(n), weighted))
-
-    def r(offset):
-        return weighted[tuple(offset)]
-
-    zero = [0] * n
-    hess = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                o = lambda k: [k if m == i else 0 for m in range(n)]
-                hess[i, i] = (-r(o(2)) + 16 * r(o(1)) - 30 * r(zero)
-                              + 16 * r(o(-1)) - r(o(-2))) / (12 * h * h)
-            else:
-                def cross(scale):
-                    o = lambda a, b: [a if m == i else (b if m == j else 0) for m in range(n)]
-                    return (r(o(scale, scale)) + r(o(-scale, -scale))
-                            - r(o(scale, -scale)) - r(o(-scale, scale))) / (4.0 * (scale * h) ** 2)
-                c1, c2 = cross(1), cross(2)
-                hess[i, j] = (4.0 * c1 - c2) / 3.0
-                hess[j, i] = hess[i, j]
-    ric_ij = 0.5 * (hess + hess.T) * 0.5  # symmetrize, then the 1/2 of the definition
-    F = metric.norm(x, y)
-    ric = r(zero) / F ** 2
-    data = CurvatureData(ric=ric, ric_tensor=ric_ij, ell=y / F)
-    if data.contraction_residual > contraction_limit * max(1.0, abs(ric)):
-        raise AccuracyError(
-            f"Ricci contraction identity residual {data.contraction_residual:.3e}",
-            achieved=data.contraction_residual)
-    return data
-
-
-def _weighted_ricci(metric, clouds):
-    """F^2 Ric over every cloud of `clouds` in one _ricci_and_energy call,
-    as one list of values per cloud."""
-    X = np.concatenate([np.broadcast_to(x, yy.shape) for x, _, _, yy in clouds])
-    Y = np.concatenate([yy for *_, yy in clouds])
-    ric, f2 = _ricci_and_energy(metric, X, Y)
-    weighted = (f2 * ric).tolist()
-    size = len(Y) // len(clouds)
-    return [weighted[k * size:(k + 1) * size] for k in range(len(clouds))]
-
-
 def _ricci_tensors(metric, samples, step, contraction_limit):
     """Ricci tensors of the line elements in `samples`, yielded in order.
 
-    Every sample is validated and its cloud built before any curvature
-    work; F^2 Ric over all clouds then costs one _ricci_and_energy call,
-    and each sample is assembled (and may raise) only when it is reached.
+    Every sample is validated before any curvature work. F^2 Ric over the
+    offset clouds y + h o of all samples then costs one _ricci_and_energy
+    call, and the (samples, offsets) values are differenced in y with
+    O(h^4) stencils, all samples at once; each sample is checked against
+    contraction_limit (and may raise AccuracyError) only when it is reached.
     """
-    clouds = [_tensor_cloud(metric, x, y, step) for x, y in samples]
-    if not clouds:
+    offsets = _tensor_offsets(metric.dimension)
+    n, K, col = metric.dimension, len(offsets), {o: k for k, o in enumerate(offsets)}
+    elements = []
+    for x, y in samples:
+        x, y = metric.check_line_element(as_coords(x), as_components(y))
+        h = step * _yscale(y)
+        if not 0.0 < h * h < math.inf:  # the second differences divide by h^2
+            raise DomainError(f"ricci_tensor's y-step {h!r} at y={y.tolist()} has no usable square")
+        elements.append((x, y, h))
+    if not elements:
         return
+    X = np.repeat([x for x, _, _ in elements], K, axis=0)
+    Y = np.concatenate([y + h * np.array(offsets, dtype=float) for _, y, h in elements])
+
+    def hessians(k0, k1):
+        """F^2 Ric at y, and the Ricci tensors, of samples k0 to k1 - 1."""
+        ric, f2 = _ricci_and_energy(metric, X[k0 * K:k1 * K], Y[k0 * K:k1 * K])
+        W = (f2 * ric).reshape(k1 - k0, K)
+        r = lambda *pairs: W[:, col[tuple(dict(pairs).get(m, 0) for m in range(n))]]
+        hs = [h for _, _, h in elements[k0:k1]]
+        H = np.empty((k1 - k0, n, n))
+        with np.errstate(all="ignore"):  # inf and nan pass silently, as on Python floats
+            for i in range(n):
+                H[:, i, i] = (-r((i, 2)) + 16 * r((i, 1)) - 30 * W[:, 0] + 16 * r((i, -1))
+                              - r((i, -2))) / np.array([12 * h * h for h in hs])
+                for j in range(i + 1, n):
+                    c1, c2 = ((r((i, s), (j, s)) + r((i, -s), (j, -s)) - r((i, s), (j, -s))
+                               - r((i, -s), (j, s))) / np.array([4.0 * (s * h) ** 2 for h in hs])
+                              for s in (1, 2))
+                    H[:, i, j] = H[:, j, i] = (4.0 * c1 - c2) / 3.0
+            # symmetrize, then the 1/2 of the definition
+            return W[:, 0].tolist(), 0.5 * (H + H.transpose(0, 2, 1)) * 0.5
+
     try:
-        weighted = _weighted_ricci(metric, clouds)
+        weighted, tensors = hessians(0, len(elements))
     except Exception:
-        if len(clouds) == 1:
+        if len(elements) == 1:
             raise
         # some sample's curvature work fails: redo it sample by sample, so
         # an earlier sample's AccuracyError still comes first and the
         # failing sample raises again when it is reached
-        weighted = None
-    for k, (x, y, h, _) in enumerate(clouds):
-        w = weighted[k] if weighted is not None else _weighted_ricci(metric, clouds[k:k + 1])[0]
-        yield _assemble_tensor(metric, x, y, h, w, contraction_limit)
+        tensors = None
+    for k, (x, y, h) in enumerate(elements):
+        w, tensor = ((weighted[k], tensors[k]) if tensors is not None
+                     else (v[0] for v in hessians(k, k + 1)))
+        F = metric.norm(x, y)
+        data = CurvatureData(ric=w / F ** 2, ric_tensor=tensor, ell=y / F)
+        if data.contraction_residual > contraction_limit * max(1.0, abs(data.ric)):
+            raise AccuracyError(
+                f"Ricci contraction identity residual {data.contraction_residual:.3e}",
+                achieved=data.contraction_residual)
+        yield data
 
 
 def ricci_tensor(metric, x, y, step=TENSOR_STEP,
@@ -376,7 +356,7 @@ def curvature_matrix(metric, x, y) -> np.ndarray:
 # ======================================================================
 
 @dataclass
-class RicciBoundReport:
+class RicciBoundReport(_Report):
     """Eigenvalue test of Ric_ij + c^2 g_ij <= 0 over a sample set.
 
     The pass test is relative to the fundamental tensor's spectral scale at
@@ -390,6 +370,8 @@ class RicciBoundReport:
     max_eigenvalues: list = field(default_factory=list)
     scales: list = field(default_factory=list)
     samples: list = field(default_factory=list)
+    _hidden = ("samples",)
+    _added = {"passed": "passed", "worst_normalized_eigenvalue": "worst"}
 
     @property
     def normalized_eigenvalues(self):
@@ -405,16 +387,6 @@ class RicciBoundReport:
     def worst(self) -> float:
         norm = self.normalized_eigenvalues
         return max(norm) if norm else math.nan
-
-    def to_dict(self):
-        return {
-            "c": self.c,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "worst_normalized_eigenvalue": self.worst,
-            "max_eigenvalues": list(self.max_eigenvalues),
-            "scales": list(self.scales),
-        }
 
 
 def check_ricci_bound(metric, samples, c, tolerance=1e-3) -> RicciBoundReport:

@@ -12,11 +12,11 @@ which one the measurements support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import as_coords, positive_finite
+from .core import _Report, as_coords, positive_finite
 from .curvature import check_ricci_bound
 from .errors import (ConstructionError, DomainError,
                      HypothesisError, InadmissibleChartError)
@@ -196,6 +196,11 @@ class Chain:
     def length(self) -> float:
         return sum(link.funk_length for link in self.links)
 
+    def to_dict(self):
+        """The links as plain data: a list, a report's `chain` entry."""
+        return [{"a": link.a, "b": link.b, "k": link.k, "funk_length": link.funk_length,
+                 "chart": asdict(link.chart)} for link in self.links]
+
 
 # ======================================================================
 # Pseudo-distance upper estimator
@@ -224,7 +229,7 @@ class PseudoDistanceOptions:
 
 
 @dataclass
-class PseudoDistanceReport:
+class PseudoDistanceReport(_Report):
     """Upper estimate of the chain pseudo-distance between two points.
 
     `estimate` is the best (smallest) chain value found by the chart search;
@@ -254,31 +259,7 @@ class PseudoDistanceReport:
     canonical_above_lower_bound: bool | None = None
     canonical_chain: Chain | None = None
     estimate_cap_bound: bool = False
-
-    def to_dict(self):
-        chain = None
-        if self.chain is not None:
-            chain = [{"a": link.a, "b": link.b, "k": link.k,
-                      "funk_length": link.funk_length,
-                      "chart": {"a": link.chart.a, "b": link.chart.b,
-                                "c": link.chart.c, "d": link.chart.d}}
-                     for link in self.chain.links]
-        return {
-            "x": np.asarray(self.x).tolist(),
-            "y": np.asarray(self.y).tolist(),
-            "estimate": self.estimate,
-            "estimate_cap_bound": self.estimate_cap_bound,
-            "canonical_value": self.canonical_value,
-            "chain": chain,
-            "evaluations": self.evaluations,
-            "budget": self.budget,
-            "geodesic_distance": self.geodesic_distance,
-            "lower_bound": self.lower_bound,
-            "lower_bound_alternate": self.lower_bound_alternate,
-            "hypothesis_passed": self.hypothesis_passed,
-            "estimate_above_lower_bound": self.estimate_above_lower_bound,
-            "canonical_above_lower_bound": self.canonical_above_lower_bound,
-        }
+    _hidden = ("canonical_chain",)
 
 
 def _canonical_chart(par: ProjectiveParameter, p_x, p_y) -> MobiusTransform:
@@ -513,7 +494,7 @@ NO_INTERIOR_MAXIMUM = "no interior maximum"
 
 
 @dataclass
-class SchwarzReport:
+class SchwarzReport(_Report):
     """Pullback-to-interval length-element ratio h along a projective map.
 
     `passed` compares the empirical sup of h against k sqrt(n-1) / (2c);
@@ -529,19 +510,6 @@ class SchwarzReport:
     monotonicity: str
     c: float
     k: float
-
-    def to_dict(self):
-        return {
-            "grid": np.asarray(self.grid).tolist(),
-            "h_values": np.asarray(self.h_values).tolist(),
-            "empirical_sup": self.empirical_sup,
-            "sup_at": self.sup_at,
-            "bound": self.bound,
-            "passed": self.passed,
-            "monotonicity": self.monotonicity,
-            "c": self.c,
-            "k": self.k,
-        }
 
 
 def _require_ricci_bound(metric, link, c):
@@ -602,7 +570,7 @@ def _mobius_derivative(m: MobiusTransform, t) -> float:
 
 
 @dataclass
-class CorollaryReport:
+class CorollaryReport(_Report):
     """Funk length of a link against the induced distance of its endpoints,
     compared with both candidate constants."""
 
@@ -614,18 +582,6 @@ class CorollaryReport:
     passed_alternate: bool
     c: float
     k: float
-
-    def to_dict(self):
-        return {
-            "lhs": self.lhs,
-            "geodesic_distance": self.geodesic_distance,
-            "rhs": self.rhs,
-            "rhs_alternate": self.rhs_alternate,
-            "passed": self.passed,
-            "passed_alternate": self.passed_alternate,
-            "c": self.c,
-            "k": self.k,
-        }
 
 
 def corollary_check(metric, link: ChainLink, c) -> CorollaryReport:
@@ -657,7 +613,7 @@ def corollary_check(metric, link: ChainLink, c) -> CorollaryReport:
 # ======================================================================
 
 @dataclass
-class PositivityEntry:
+class PositivityEntry(_Report):
     """Per-pair record. Positivity is asserted on the canonical chain value;
     the optimized estimate is reported alongside but sinks below the float
     resolution under extreme chart translations, so it carries no positivity
@@ -675,34 +631,16 @@ class PositivityEntry:
     consistent_with_bound: bool | None = None
     consistent_with_alternate: bool | None = None
 
-    def to_dict(self):
-        return {
-            "x": np.asarray(self.x).tolist(),
-            "y": np.asarray(self.y).tolist(),
-            "hypothesis_passed": self.hypothesis_passed,
-            "estimate": self.estimate,
-            "canonical_value": self.canonical_value,
-            "geodesic_distance": self.geodesic_distance,
-            "lower_bound": self.lower_bound,
-            "lower_bound_alternate": self.lower_bound_alternate,
-            "positive": self.positive,
-            "consistent_with_bound": self.consistent_with_bound,
-            "consistent_with_alternate": self.consistent_with_alternate,
-        }
-
 
 @dataclass
-class PositivityReport:
+class PositivityReport(_Report):
     entries: list = field(default_factory=list)
+    _added = {"all_positive": "all_positive"}
 
     @property
     def all_positive(self) -> bool:
         checked = [e.positive for e in self.entries if e.positive is not None]
         return bool(checked) and all(checked)
-
-    def to_dict(self):
-        return {"all_positive": self.all_positive,
-                "entries": [e.to_dict() for e in self.entries]}
 
 
 def positivity_probe(metric, pairs, c, k=1.0, budget=48) -> PositivityReport:

@@ -71,11 +71,16 @@ def _solve(x, g, rhs):
         raise ConvexityError(f"singular fundamental tensor at x={x.tolist()}") from exc
 
 
+def _contract(x, g0, dg, ys):
+    """Formal-Christoffel route at x for the (m, n) stack ys, from the x-data g0, dg:
+    G^i = g^{is}(dg_sj/dx^k - dg_jk/dx^s / 2) y^j y^k, in one stacked solve."""
+    rhs = (np.einsum("sjk,mj,mk->ms", dg, ys, ys)
+           - 0.5 * np.einsum("jks,mj,mk->ms", dg, ys, ys))[:, :, None]
+    return _solve(x, np.broadcast_to(g0, (len(ys),) + g0.shape), rhs)[:, :, 0]
+
+
 def _spray_from_tensor(metric, x, y):
-    """Formal-Christoffel route: G^i = g^{is}(dg_sj/dx^k - dg_jk/dx^s / 2) y^j y^k."""
-    g0, dg = _spray_xdata(metric, x, y)
-    rhs = np.einsum("sjk,j,k->s", dg, y, y) - 0.5 * np.einsum("jks,j,k->s", dg, y, y)
-    return _solve(x, g0, rhs)
+    return _contract(x, *_spray_xdata(metric, x, y), y[None])[0]
 
 
 def _spray(metric, x, y):
@@ -109,10 +114,7 @@ def spray_batch(metric, X, Y) -> np.ndarray:
         if g is not None:
             out[rows] = [g] + [metric.spray_vector(x, y) for y in ys[1:]]
             continue
-        g0, dg = _spray_xdata(metric, x, ys[0])
-        rhs = (np.einsum("sjk,mj,mk->ms", dg, ys, ys)
-               - 0.5 * np.einsum("jks,mj,mk->ms", dg, ys, ys))[:, :, None]
-        out[rows] = _solve(x, np.broadcast_to(g0, (len(rows),) + g0.shape), rhs)[:, :, 0]
+        out[rows] = _contract(x, *_spray_xdata(metric, x, ys[0]), ys)
     return out
 
 

@@ -110,7 +110,7 @@ class RiemannianMetric(FinslerMetric):
 
     def spray_vector(self, x, y):
         if self.spec.christoffel_provider is None:
-            return None
+            return super().spray_vector(x, y)  # a subclass's closed form, or None
         gamma = np.asarray(self.spec.christoffel_provider(np.asarray(x, dtype=float)))
         y = np.asarray(y, dtype=float)
         return np.einsum("ijk,j,k->i", gamma, y, y)
@@ -134,23 +134,8 @@ class KleinMetric(RiemannianMetric):
             phi = 1.0 - x @ x
             return np.eye(len(x)) / phi + np.outer(x, x) / phi ** 2
 
-        def christoffel(x):
-            n = len(x)
-            phi = 1.0 - x @ x
-            eye = np.eye(n)
-            return (eye[:, :, None] * x[None, None, :]
-                    + eye[:, None, :] * x[None, :, None]) / phi
-
-        spec = RiemannianSpec(
-            dimension=dimension,
-            metric_provider=g,
-            christoffel_provider=christoffel,
-            domain_provider=lambda x: 1.0 - float(x @ x),
-            name="klein",
-        )
-        super().__init__(spec)
-
-    spray_vector = FinslerMetric.spray_vector  # the closed form, not the Christoffels
+        super().__init__(RiemannianSpec(dimension=dimension, metric_provider=g, name="klein",
+                                        domain_provider=lambda x: 1.0 - float(x @ x)))
 
     def _spray_impl(self, x, y):
         phi = 1.0 - _dot(x, x)
@@ -356,9 +341,11 @@ class IntervalFunkMetric:
         return 1.0 - u * u
 
     def norm(self, x, y):
-        u = float(np.atleast_1d(x)[0])
-        v = float(np.atleast_1d(y)[0])
-        return interval_funk_eval(u, v, self.k)
+        u, v = np.atleast_1d(x), np.atleast_1d(y)
+        if u.shape != (1,) or v.shape != (1,):
+            raise DomainError(f"interval-funk: x and y need one component each, "
+                              f"got {u.size} and {v.size}")
+        return interval_funk_eval(float(u[0]), float(v[0]), self.k)
 
     def __call__(self, x, y):
         return self.norm(x, y)
@@ -406,6 +393,11 @@ class RandersSpec:
     def __post_init__(self):
         if self.dimension < 2:
             raise ConstructionError("Finsler structures need dimension n >= 2")
+        n = self.dimension
+        for name, value, shape in (("a", self.a_provider, (n, n)), ("b", self.b_provider, (n,))):
+            if not callable(value) and np.shape(value) != shape:
+                raise ConstructionError(f"randers: a constant {name} must have shape {shape}, "
+                                        f"got {np.shape(value)}")
 
     def a_at(self, x):
         if callable(self.a_provider):
@@ -444,10 +436,8 @@ class RandersMetric(FinslerMetric):
         return _randers_tensor(self.spec.a_at(x), self.spec.b_at(x),
                                np.asarray(y, dtype=float))
 
-    def _spray_impl(self, x, y):
-        if self._constant:
-            return [0.0] * self.dimension  # x-independent norm, straight lines
-        raise NotImplementedError
+    def _spray_impl(self, x, y):  # constant a and b only: straight lines
+        return [0.0] * self.dimension
 
     def one_form_norm(self, x) -> float:
         """|b|_a at x, the Randers smallness quantity."""

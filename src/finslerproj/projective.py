@@ -130,6 +130,18 @@ def _schwarzian_from_derivs(d1, d2, d3, t):
     return d3 / d1 - 1.5 * r2 * r2
 
 
+def _derivatives(f, t, step):
+    """f and its first three derivatives at t: by a forward Taylor jet where
+    the callable f takes one, else by the central stencils of schwarzian_fd."""
+    try:
+        jet = f(Jet.variable(float(t), 3))
+    except (TypeError, AttributeError):
+        jet = None
+    if isinstance(jet, Jet):
+        return jet.coef[0], jet.coef[1], 2.0 * jet.coef[2], 6.0 * jet.coef[3]
+    return _stencil_derivatives(f, t, step)
+
+
 def schwarzian(f, t, *, step=0.02) -> float:
     """Schwarzian derivative {f, t} = f'''/f' - 3/2 (f''/f')^2.
 
@@ -143,14 +155,7 @@ def schwarzian(f, t, *, step=0.02) -> float:
                                                 np.asarray(vs, float), k=5)
         return _schwarzian_from_derivs(float(spline(t, 1)), float(spline(t, 2)),
                                        float(spline(t, 3)), t)
-    try:
-        jet = f(Jet.variable(float(t), 3))
-    except (TypeError, AttributeError):
-        jet = None
-    if isinstance(jet, Jet):
-        return _schwarzian_from_derivs(jet.coef[1], 2.0 * jet.coef[2],
-                                       6.0 * jet.coef[3], t)
-    return schwarzian_fd(f, t, step=step)
+    return _schwarzian_from_derivs(*_derivatives(f, t, step)[1:], t)
 
 
 # 9-point O(h^6) central stencils for orders 1..3
@@ -163,31 +168,21 @@ _STENCIL9 = {
 _OFFSETS9 = np.arange(-4.0, 5.0)
 
 
+def _stencil_derivatives(f, t, step):
+    vals = np.array([float(f(t + o * step)) for o in _OFFSETS9])
+    return (float(vals[4]), float(_STENCIL9[1] @ vals) / step,
+            float(_STENCIL9[2] @ vals) / step ** 2, float(_STENCIL9[3] @ vals) / step ** 3)
+
+
 def schwarzian_fd(f, t, step=0.02) -> float:
     """Finite-difference Schwarzian for black-box callables."""
-    vals = np.array([float(f(t + o * step)) for o in _OFFSETS9])
-    d1 = float(_STENCIL9[1] @ vals) / step
-    d2 = float(_STENCIL9[2] @ vals) / step ** 2
-    d3 = float(_STENCIL9[3] @ vals) / step ** 3
-    return _schwarzian_from_derivs(d1, d2, d3, t)
+    return _schwarzian_from_derivs(*_stencil_derivatives(f, t, step)[1:], t)
 
 
 def check_composition(f, g, t, *, step=0.02) -> float:
     """Residual of the chain rule {f o g, t} = {f, g(t)} (g'(t))^2 + {g, t}."""
-    def composed(u):
-        return f(g(u))
-
-    lhs = schwarzian(composed, t, step=step)
-    try:
-        jet = g(Jet.variable(float(t), 3))
-    except (TypeError, AttributeError):
-        jet = None
-    if isinstance(jet, Jet):
-        gt, dg = jet.coef[0], jet.coef[1]
-    else:
-        gt = float(g(t))
-        vals = np.array([float(g(t + o * step)) for o in _OFFSETS9])
-        dg = float(_STENCIL9[1] @ vals) / step
+    lhs = schwarzian(lambda u: f(g(u)), t, step=step)
+    gt, dg = _derivatives(g, t, step)[:2]
     rhs = schwarzian(f, gt, step=step) * dg * dg + schwarzian(g, t, step=step)
     return abs(lhs - rhs)
 

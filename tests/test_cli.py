@@ -6,12 +6,17 @@ import json
 import math
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finslerproj.cli import build_metric, dump_json, run_args
+from finslerproj import cli
+from finslerproj.cli import METRIC_KINDS, build_metric, dump_json, run_args
 from finslerproj.errors import ConfigError
+from finslerproj.verify import CriterionResult
+
+PINS = Path(__file__).parent / "pins"
 
 
 class TestBasicCommands:
@@ -237,6 +242,65 @@ class TestErrors:
         assert "config" in capsys.readouterr().err
 
 
+class TestUnusableInput:
+    """Metrics, files and config values the CLI cannot use end in one error line."""
+
+    QUAD = {"alpha": [[-1.0, 0.0], [0.0, -1.0]], "beta": [0.0, 0.0], "gamma": 1.0}
+    RANDERS = {"a": [[1.0, 0.0], [0.0, 1.0]], "b": [0.1, 0.0]}
+    FUNK2 = ["--x", "0", "0", "--y", "1", "0"]
+
+    @pytest.mark.parametrize("argv, files", [
+        (["curvature", "--metric", "interval-funk"], {}),
+        (["geodesic", "--metric", "interval-funk", "--x0", "0", "--y0", "1"], {}),
+        (["projparam", "--metric", "interval-funk", "--x0", "0", "--y0", "1"], {}),
+        (["pseudodist", "--metric", "interval-funk", "--x0", "0", "--x1", "0.5"], {}),
+        (["funk", "--metric", "interval-funk", "--x", "0.1", "0.2", "--y", "1", "0"], {}),
+        (["funk", "--metric", "funk-quadratic", "--spec", "missing.json", *FUNK2], {}),
+        (["funk", "--metric", "funk-quadratic", "--spec", "spec.json", *FUNK2],
+         {"spec.json": "{not json"}),
+        (["funk", "--metric", "funk-quadratic", "--spec", "spec.json", *FUNK2],
+         {"spec.json": [1, 2]}),
+        (["run", "--config", "cfg.json"], {"cfg.json": {"command": 5}}),
+        (["run", "--config", "cfg.json"], {"cfg.json": {"command": {"name": ["funk"]}}}),
+        (["run", "--config", "cfg.json"],
+         {"cfg.json": {"command": {"name": "validate"}, "seed": "abc"}}),
+        (["run", "--config", "cfg.json"],
+         {"cfg.json": {"command": {"name": "validate"}, "seed": 1.5}}),
+        (["run", "--config", "cfg.json"],
+         {"cfg.json": {"command": {"name": "validate"}, "metric": [1, 2]}}),
+        (["funk", "--metric", "funk-quadratic", "--spec", "spec.json", *FUNK2],
+         {"spec.json": dict(QUAD, gamma="one")}),
+        (["funk", "--metric", "funk-quadratic", "--spec", "spec.json", *FUNK2],
+         {"spec.json": dict(QUAD, alpha=[[-1.0, 0.0], [0.0]])}),
+        (["funk", "--metric", "funk-quadratic", "--spec", "spec.json", *FUNK2],
+         {"spec.json": dict(QUAD, gamma=10 ** 400)}),
+        (["funk", "--metric", "randers", "--spec", "spec.json", *FUNK2],
+         {"spec.json": dict(RANDERS, b=[0.1])}),
+        (["funk", "--metric", "randers", "--n", "3", "--spec", "spec.json",
+          "--x", "0", "0", "0", "--y", "1", "0", "0"], {"spec.json": RANDERS}),
+        (["validate", "--metric", "klein", "--samples", "2", "--json", "missing/out.json"], {}),
+        (["geodesic", "--metric", "klein", "--x0", "0", "0", "--y0", "1", "0",
+          "--csv", "missing/trace.csv"], {}),
+    ])
+    def test_one_error_line(self, argv, files, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name, content in files.items():
+            text = content if isinstance(content, str) else json.dumps(content)
+            (tmp_path / name).write_text(text)
+        code, _ = run_args(argv, capture=True)
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_validate_message_kept(self, capsys):
+        assert run_args(["validate", "--metric", "interval-funk"], capture=True)[0] == 1
+        assert capsys.readouterr().err == "error: config: validate needs an n >= 2 metric\n"
+
+    def test_interval_funk_norm_takes_one_component(self):
+        code, text = run_args(["funk", "--metric", "interval-funk", "--x", "0.1", "--y", "1"],
+                              capture=True)
+        assert (code, text) == (0, "1.111111\n")
+
+
 class TestArgvProperty:
     """Any numeric flag value ends in a report or in one error line."""
 
@@ -247,8 +311,8 @@ class TestArgvProperty:
         st = pytest.importorskip("hypothesis.strategies")
         num = st.sampled_from(TestArgvProperty.SPECIAL) | st.floats(-1.5, 1.5).map(repr)
         vec = st.lists(num, min_size=2, max_size=2)
-        metric = st.sampled_from(["klein", "funk-ball", "euclidean"]).map(
-            lambda m: ["--metric", m])
+        # funk-quadratic and randers come without a spec here
+        metric = st.sampled_from(METRIC_KINDS).map(lambda m: ["--metric", m])
         k = st.just([]) | num.map(lambda v: ["--k", v])
         flag = lambda name: num.map(lambda v: [name, v])
         vflag = lambda name: vec.map(lambda v: [name, *v])
@@ -267,6 +331,7 @@ class TestArgvProperty:
                 flag("--tol"), k),
             cat(fixed("geodesic", "--connect"), metric, vflag("--x0"), vflag("--x1"),
                 flag("--tol"), k),
+            cat(fixed("pseudodist", "--budget", "1"), metric, vflag("--x0"), vflag("--x1"), k),
         )
 
     def test_no_escape_and_one_error_line(self):
@@ -340,6 +405,61 @@ class TestRunConfig:
         path.write_text(json.dumps({"command": {}}))
         code, _ = run_args(["run", "--config", str(path)], capture=True)
         assert code == 1
+
+
+class TestPinnedOutputs:
+    """Byte pins of outputs that no other test, criterion or workload reaches."""
+
+    RANDERS = {"kind": "randers", "n": 2, "a": [[1.0, 0.1], [0.1, 0.9]], "b": [0.2, -0.1]}
+    RANDERS_CONNECT = ('{\n  "iterations": 1,\n  "length": 0.41148351242013415,\n'
+                       '  "miss": 9.238896857051836e-16,\n  "unit_speed_drift": 0.0\n}\n')
+
+    def test_pseudodist_checkers_json_and_csv(self, tmp_path):
+        path = tmp_path / "h.csv"
+        code, text = run_args(["pseudodist", "--metric", "klein", "--x0", "0", "0",
+                               "--x1", "0.5", "0", "--check-schwarz", "--check-corollary",
+                               "--c", "1", "--csv", str(path)], capture=True)
+        assert code == 2
+        assert text == (PINS / "pseudodist_klein.json").read_text()
+        assert path.read_text() == (PINS / "pseudodist_klein_h.csv").read_text()
+
+    def test_verify_all_to_stdout_and_file(self, tmp_path, monkeypatch):
+        results = [CriterionResult("criterion_a", "first check", True, 0.12345,
+                                   {"worst": 1.5e-12, "rows": [1, 2]}),
+                   CriterionResult("criterion_b", "second check", False, 2.0,
+                                   {"gap": math.inf})]
+
+        def run_all(progress):
+            for r in results:
+                progress(f"{r.key}: {'PASS' if r.passed else 'FAIL'}")
+            return results
+
+        monkeypatch.setattr(cli, "run_all", run_all)
+        report = ('{\n  "criteria": [\n    {\n      "details": {\n        "rows": [\n'
+                  '          1,\n          2\n        ],\n        "worst": 1.5e-12\n'
+                  '      },\n      "duration_seconds": 0.123,\n      "key": "criterion_a",\n'
+                  '      "name": "first check",\n      "passed": true\n    },\n    {\n'
+                  '      "details": {\n        "gap": "inf"\n      },\n'
+                  '      "duration_seconds": 2.0,\n      "key": "criterion_b",\n'
+                  '      "name": "second check",\n      "passed": false\n    }\n  ],\n'
+                  '  "passed": false\n}\n')
+        progress = "criterion_a: PASS\ncriterion_b: FAIL\n"
+        assert run_args(["verify-all"], capture=True) == (2, progress + report)
+        path = tmp_path / "summary.json"
+        assert run_args(["verify-all", "--json", str(path)], capture=True) == (2, progress)
+        assert path.read_text() == report
+
+    def test_randers_through_config_and_spec_file(self, tmp_path):
+        command = {"name": "geodesic", "x0": [0.1, 0.0], "x1": [0.4, 0.2], "connect": True}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"metric": self.RANDERS, "command": command, "seed": 1}))
+        assert run_args(["run", "--config", str(config)], capture=True) == (
+            0, self.RANDERS_CONNECT)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"a": self.RANDERS["a"], "b": self.RANDERS["b"]}))
+        assert run_args(["geodesic", "--metric", "randers", "--spec", str(spec),
+                         "--x0", "0.1", "0", "--x1", "0.4", "0.2", "--connect"],
+                        capture=True) == (0, self.RANDERS_CONNECT)
 
 
 class TestDeterminism:

@@ -250,6 +250,38 @@ class TestRicciTensor:
         t2 = ricci_tensor(klein2, x, rng.normal(size=2)).ric_tensor
         assert np.abs(t1 - t2).max() <= 1e-4
 
+    @staticmethod
+    def scalar_loop_tensor(metric, x, y, step=curvature.TENSOR_STEP):
+        """Ric_ij and Ric differenced entry by entry on Python floats: the
+        reference for the stacked differencing of ricci_tensor."""
+        n = metric.dimension
+        h = step * float(np.abs(y).max())
+        offsets = curvature._tensor_offsets(n)
+        ric, f2 = curvature._ricci_and_energy(
+            metric, np.tile(x, (len(offsets), 1)), y + h * np.array(offsets, dtype=float))
+        w = dict(zip(offsets, (f2 * ric).tolist()))
+        r = lambda *pairs: w[tuple(dict(pairs).get(m, 0) for m in range(n))]
+        hess = np.empty((n, n))
+        for i in range(n):
+            hess[i, i] = (-r((i, 2)) + 16 * r((i, 1)) - 30 * r() + 16 * r((i, -1))
+                          - r((i, -2))) / (12 * h * h)
+            for j in range(i + 1, n):
+                c1, c2 = ((r((i, s), (j, s)) + r((i, -s), (j, -s)) - r((i, s), (j, -s))
+                           - r((i, -s), (j, s))) / (4.0 * (s * h) ** 2) for s in (1, 2))
+                hess[i, j] = hess[j, i] = (4.0 * c1 - c2) / 3.0
+        return 0.5 * (hess + hess.T) * 0.5, r() / metric.norm(x, y) ** 2
+
+    @pytest.mark.parametrize("make", [lambda: klein_metric(3),
+                                      lambda: anisotropic_ellipsoid(3, 2)])
+    def test_equals_scalar_loop(self, make):
+        metric = make()
+        samples = metric.random_line_elements(4, np.random.default_rng(8))
+        for (x, y), data in zip(samples, curvature._ricci_tensors(
+                metric, samples, curvature.TENSOR_STEP, math.inf)):
+            tensor, ric = self.scalar_loop_tensor(metric, x, y)
+            assert hexes(data.ric_tensor.ravel()) == hexes(tensor.ravel())
+            assert data.ric.hex() == ric.hex()
+
     def test_einstein_ratio_constant(self, klein2, ball2, rng):
         for metric, expected in ((klein2, -1.0), (ball2, -0.25)):
             ratios = []

@@ -1,12 +1,14 @@
 """Interval Funk distance, chains, the estimator, and the checkers."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from finslerproj import distance
+from finslerproj.cli import dump_json
 from finslerproj.distance import (Chain, ChainLink, IntervalPair,
                                   PseudoDistanceOptions, corollary_check, funk_distance_interval,
                                   positivity_probe, pseudo_distance_upper,
@@ -367,6 +369,12 @@ class TestPositivityProbe:
         entry = report.entries[0]
         assert entry.estimate == 0.0
         assert entry.positive is None
+
+    def test_report_dict_pinned(self, klein2):
+        report = positivity_probe(klein2, [([0.0, 0.0], [0.5, 0.0]), ([0.1, 0.0], [0.1, 0.0])],
+                                  c=1.0, budget=4)
+        pinned = Path(__file__).parent / "pins" / "positivity_klein.json"
+        assert dump_json(report.to_dict()) + "\n" == pinned.read_text()
 
     def test_euclid_hypothesis_diagnostic(self, eucl2):
         report = positivity_probe(eucl2, [([0.0, 0.0], [0.5, 0.0])], c=1.0)

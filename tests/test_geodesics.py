@@ -366,6 +366,11 @@ class TestConnect:
         with pytest.raises(ConnectivityError):
             connect(klein2, [0.2, 0.1], [0.2, 0.1])
 
+    def test_unmet_tolerance_reports_best_miss(self, klein2):
+        with pytest.raises(ConnectivityError) as info:
+            connect(klein2, [0.1, 0.2], [-0.3, 0.4], tol=1e-300, max_nfev=2)
+        assert info.value.best_miss == pytest.approx(2.5e-11, rel=0.01)
+
     def test_klein_generic_pairs_against_closed_form(self, klein2, rng):
         for _ in range(6):
             p = klein2.random_interior_point(rng)
