@@ -164,7 +164,6 @@ def cmd_geodesic(args, out):
         payload = {"length": result.segment.length, "miss": result.miss,
                    "iterations": result.iterations,
                    "unit_speed_drift": result.segment.unit_speed_drift()}
-        _emit(args, payload, out)
         seg = result.segment
     else:
         if args.y0 is None:
@@ -174,13 +173,13 @@ def cmd_geodesic(args, out):
         payload = {"length": seg.length, "truncated": seg.truncated,
                    "endpoint": seg.position(seg.s_max).tolist(),
                    "unit_speed_drift": seg.unit_speed_drift()}
-        _emit(args, payload, out)
-    if args.csv is not None:
+    if args.csv is not None:  # before the report, so a failed write prints none
         n = metric.dimension
         header = (["s"] + [f"x{i+1}" for i in range(n)]
                   + [f"v{i+1}" for i in range(n)] + ["F"])
         rows = [[s, *xx, *vv, metric.norm(xx, vv)] for s, xx, vv in seg.samples]
         write_csv(args.csv, header, rows, out)
+    _emit(args, payload, out)
     return 0
 
 
@@ -220,8 +219,7 @@ def cmd_projparam(args, out):
     payload = {"metric": metric.name, "s_min": seg.s_min, "s_max": seg.s_max,
                "poles": par.poles, "wronskian_drift": par.wronskian_drift(),
                "chart_range": list(par.chart_range(0.0))}
-    _emit(args, payload, out)
-    if args.csv is not None:
+    if args.csv is not None:  # before the report, so a failed write prints none
         ss = np.linspace(seg.s_min, seg.s_max, args.grid)
         rows = []
         for s in ss:
@@ -233,6 +231,7 @@ def cmd_projparam(args, out):
                 pi = math.nan
             rows.append([s, q, w1, w2, pi])
         write_csv(args.csv, ["s", "q", "w1", "w2", "pi"], rows, out)
+    _emit(args, payload, out)
     return 0
 
 

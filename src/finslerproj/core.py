@@ -93,7 +93,8 @@ class FinslerMetric:
 
     def norm_batch(self, X, Y) -> np.ndarray:
         """F at N line elements given as (N, n) stacks X, Y; element k equals
-        norm(X[k], Y[k]). Every element is validated in order; a shipped
+        norm(X[k], Y[k]). The whole stack is validated first, and the first
+        invalid element raises its own check_line_element error; a shipped
         `_norm_impl` then runs once on the coordinate columns, any other is
         evaluated element by element."""
         X = np.asarray(X, dtype=float)
@@ -103,10 +104,23 @@ class FinslerMetric:
                               f"stacks of one shape, got {X.shape} and {Y.shape}")
         if not self._norm_takes_columns:
             return np.array([self.norm(x, y) for x, y in zip(X, Y)], dtype=float)
-        for x, y in zip(X, Y):
-            self.check_line_element(x, y)
+        valid = self.valid_line_elements(X, Y)
+        if not valid.all():
+            bad = int(np.argmin(valid))
+            self.check_line_element(X[bad], Y[bad])
         values = self._norm_impl(list(X.T), list(Y.T))
         return np.broadcast_to(np.asarray(values, dtype=float), (len(X),)).copy()
+
+    def valid_line_elements(self, X, Y) -> np.ndarray:
+        """Mask of the rows of the (N, n) stacks X, Y that check_line_element
+        accepts: its finiteness and nonzero tests as reductions over the
+        stack, its domain test row by row, exactly as check_point makes it."""
+        if X.shape[1:] != (self.dimension,):
+            return np.zeros(len(X), dtype=bool)
+        size = np.abs(Y).max(axis=1)
+        valid = np.isfinite(X).all(axis=1) & np.isfinite(size) & (size != 0.0)
+        valid[valid] = [self.domain_value(x) > 0.0 for x, ok in zip(X, valid) if ok]
+        return valid
 
     def __call__(self, x, y) -> float:
         return self.norm(x, y)

@@ -7,12 +7,13 @@ The Ricci scalar is built from the spray coefficients:
                 - y^j (G^i)_{y^i x^j} + G^j (G^i)_{y^i y^j}
 
 so it is 0-homogeneous in y and equals (n-1) times the flag curvature on
-constant-curvature metrics. A jet-capable spray is differentiated by Taylor
-jets whose coefficients are (N,) arrays, so a whole stack of line elements
-costs one pass (`ricci_scalar_batch`); so does a black-box spray, by nested
-stencils whose points all go to one `spray_batch` call. For a Riemannian
-tensor without Christoffels the spray's x-data (the tensor and its
-x-derivatives) does not depend on y: it is computed once per stencil point.
+constant-curvature metrics. A jet-capable spray is called once, in
+second-order forward mode (`Dual2`) over the 2n variables y, x with (N,)
+values, so a whole stack of line elements costs one spray evaluation
+(`ricci_scalar_batch`); a black-box spray costs one `spray_batch` call, by
+nested stencils. For a Riemannian tensor without Christoffels the spray's
+x-data (the tensor and its x-derivatives) does not depend on y: it is
+computed once per stencil point.
 
 The Ricci tensor is the y-Hessian of F^2 Ric / 2, which keeps the
 contraction identity Ric_ik l^i l^k = Ric automatic. `check_ricci_bound`
@@ -28,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _Report, as_components, as_coords, boundary_room, positive_finite
-from .diffengine import (Jet, central_d1, d1_combine, d1_points, extract_coefficient,
-                         fundamental_tensor)
+from .diffengine import Dual2, central_d1, d1_combine, d1_points, fundamental_tensor
 from .errors import AccuracyError, DomainError, NotProjectiveError
 from .geodesics import spray_batch, spray_vector
 
@@ -60,68 +60,23 @@ def _x_steps(metric, x):
     return hx, Hx
 
 
-def _ricci_scalar_jets(metric, X, Y, f2):
-    """Exact spray derivatives by nested Taylor jets over (N,) coefficient
-    arrays, all N line elements of the (N, n) stacks X, Y in one pass; no
-    stencil room needed. f2 holds F^2 of each element."""
+def _spray_terms_jets(metric, X, Y):
+    """The spray terms of the Ricci formula (see _ricci_and_energy), exact, from
+    one second-order forward pass: the N line elements of the (N, n) stacks
+    X, Y are its batch, y^1..y^n then x^1..x^n its 2n variables, and the
+    Hessian rows of the y's hold every second derivative the formula needs;
+    no stencil room needed."""
     n = metric.dimension
-    N = len(X)
-    impl = metric._spray_impl
-    xs = list(np.ascontiguousarray(X.T))
-    ys = list(np.ascontiguousarray(Y.T))
-
-    def d_dx(j):
-        xj = xs.copy()
-        xj[j] = Jet.variable(xs[j], 1)
-        return [extract_coefficient(gi, 1, 1) for gi in impl(xj, ys)]
-
-    def d_dy(j):
-        yj = ys.copy()
-        yj[j] = Jet.variable(ys[j], 1)
-        return [extract_coefficient(gi, 1, 1) for gi in impl(xs, yj)]
-
-    # a spray part that does not depend on the variable comes back as a
-    # Python 0.0; the slice assignments below broadcast it to (N,)
-    tr_gx = sum(d_dx(i)[i] for i in range(n))
-    gy = np.empty((N, n, n))  # gy[:, i, j] = dG^i/dy^j
-    for j in range(n):
-        for i, gij in enumerate(d_dy(j)):
-            gy[:, i, j] = gij
-    sx = np.empty((N, n))
-    for j in range(n):
-        xj = xs.copy()
-        xj[j] = Jet.variable(xs[j], 1, level=2)
-        acc = 0.0
-        for i in range(n):
-            yi = ys.copy()
-            yi[i] = Jet.variable(ys[i], 1, level=1)
-            gi = impl(xj, yi)[i]
-            acc += extract_coefficient(extract_coefficient(gi, 2, 1), 1, 1)
-        sx[:, j] = acc
-    sy = np.empty((N, n))
-    for j in range(n):
-        acc = 0.0
-        for i in range(n):
-            yi = ys.copy()
-            if i == j:
-                yi[i] = Jet.variable(ys[i], 2)
-                gi = impl(xs, yi)[i]
-                acc += 2.0 * extract_coefficient(gi, 1, 2)
-            else:
-                yi[j] = Jet.variable(ys[j], 1, level=2)
-                yi[i] = Jet.variable(ys[i], 1, level=1)
-                gi = impl(xs, yi)[i]
-                acc += extract_coefficient(extract_coefficient(gi, 2, 1), 1, 1)
-        sy[:, j] = acc
-    g0 = np.empty((N, n))
-    for i, gi in enumerate(impl(xs, ys)):
-        g0[:, i] = gi
-    # stacked matmuls rather than elementwise sums: each element's products
-    # then sum exactly as the 2-D trace and dot products of one element do
-    rhs = (2.0 * tr_gx - 0.5 * np.trace(gy @ gy, axis1=1, axis2=2)
-           - (Y[:, None, :] @ sx[:, :, None])[:, 0, 0]
-           + (g0[:, None, :] @ sy[:, :, None])[:, 0, 0])
-    return rhs / (2.0 * f2)
+    z = Dual2.variables(list(np.ascontiguousarray(Y.T)) + list(np.ascontiguousarray(X.T)), n)
+    # a spray part that does not depend on x or y comes back as a Python 0.0
+    G = [gi if isinstance(gi, Dual2) else z[0].constant(gi)
+         for gi in metric._spray_impl(z[n:], z[:n])]
+    tr_gx = sum(gi.grad[n + i] for i, gi in enumerate(G))
+    gy = np.stack([gi.grad[:n] for gi in G]).transpose(2, 0, 1)   # gy[:, i, j] = dG^i/dy^j
+    sx = sum(gi.hess[i, n:] for i, gi in enumerate(G)).T          # sum_i d2G^i/dy^i dx^j
+    sy = sum(gi.hess[i, :n] for i, gi in enumerate(G)).T          # sum_i d2G^i/dy^i dy^j
+    g0 = np.stack([np.broadcast_to(gi.val, (len(X),)) for gi in G], axis=1)
+    return (g0, tr_gx) + tuple(np.ascontiguousarray(v) for v in (gy, sx, sy))
 
 
 def _stencil(V, h):
@@ -141,12 +96,11 @@ def _derivatives(F, h):
     return np.stack([d1_combine(Fj, h) for Fj in F], axis=-1)
 
 
-def _ricci_scalar_stencil(metric, X, Y, f2):
-    """Ricci scalars of a black-box spray at the (N, n) stacks X, Y by nested
-    central differences: every element's x-steps, then one spray_batch call."""
+def _spray_terms_stencil(metric, X, Y):
+    """The spray terms of the Ricci formula for a black-box spray at the
+    (N, n) stacks X, Y, N > 0, by nested central differences: every
+    element's x-steps, then one spray_batch call."""
     n = metric.dimension
-    if not len(X):
-        return np.empty(0)
     hx, Hx = np.array([_x_steps(metric, x) for x in X], dtype=float).T
     hy, Hy = 1e-5 * np.abs(Y).max(axis=1), 1e-3 * np.abs(Y).max(axis=1)  # _yscale per row
     # points of the Sx and Sy stencils, where S(xx, yy) = sum_i dG^i/dy^i
@@ -160,27 +114,32 @@ def _ricci_scalar_stencil(metric, X, Y, f2):
     Gx, Gy, GS = _derivatives(Gx, hx), _derivatives(Gy, hy), _derivatives(GS, hS)
     S = sum(GS[:, i, i] for i in range(n))
     Sx, Sy = _derivatives(S[:len(SX) // 2], Hx), _derivatives(S[len(SX) // 2:], Hy)
-    # stacked traces and matmuls, as in _ricci_scalar_jets
-    rhs = (2.0 * np.trace(Gx, axis1=1, axis2=2) - 0.5 * np.trace(Gy @ Gy, axis1=1, axis2=2)
-           - (Y[:, None, :] @ Sx[:, :, None])[:, 0, 0]
-           + (G0[:, None, :] @ Sy[:, :, None])[:, 0, 0])
-    return rhs / (2.0 * f2)
+    return G0, np.trace(Gx, axis1=1, axis2=2), Gy, Sx, Sy
 
 
 def _ricci_and_energy(metric, X, Y):
     """(Ric, F^2) of the line elements stacked in X, Y, as (N,) arrays: every
     element is validated by `norm_batch`, which also gives its F^2, then the
-    spray's jets or its stencils answer for the whole stack in one pass."""
+    spray's second-order pass or its stencils give the spray terms of the
+    whole stack at once: G, tr dG/dx, the Jacobian dG/dy, and the sums
+    S_x = sum_i d2G^i/dy^i dx and S_y = sum_i d2G^i/dy^i dy."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     # each row runs at y 2^-e with max|y 2^-e| in [1/2, 1): Ric is 0-homogeneous, and
     # the scaling is exact, so Ric is the same float at every power-of-two scale of y
     e = np.frexp(np.abs(Y).max(axis=-1))[1]
     Y = np.ldexp(Y, -e[..., None])
-    # squared one by one as Python floats, so F^2 has the bits of norm() ** 2 there
-    f2 = np.array([f ** 2 if f < 1e154 else f * f for f in metric.norm_batch(X, Y).tolist()])
-    route = _ricci_scalar_jets if metric.spray_supports_jets else _ricci_scalar_stencil
-    ric = route(metric, X, Y, f2)
+    F = metric.norm_batch(X, Y)
+    f2 = F * F  # correctly rounded, so F^2 is exact under the power-of-two scaling
+    if not len(X):
+        return f2, f2
+    route = _spray_terms_jets if metric.spray_supports_jets else _spray_terms_stencil
+    G, tr_gx, Gy, Sx, Sy = route(metric, X, Y)
+    # stacked matmuls rather than elementwise sums: each element's products
+    # then sum exactly as the 2-D trace and dot products of one element do
+    ric = (2.0 * tr_gx - 0.5 * np.trace(Gy @ Gy, axis1=1, axis2=2)
+           - (Y[:, None, :] @ Sx[:, :, None])[:, 0, 0]
+           + (G[:, None, :] @ Sy[:, :, None])[:, 0, 0]) / (2.0 * f2)
     with np.errstate(over="ignore"):  # F^2 at y itself may overflow where Ric does not
         return ric, np.ldexp(f2, 2 * e)
 
@@ -198,7 +157,8 @@ def ricci_scalar(metric, x, y) -> float:
 
 def weighted_ricci(metric, x, y) -> float:
     """F^2 Ric, the 2-homogeneous Ricci weight entering the parameter ODE."""
-    return metric.norm(x, y) ** 2 * ricci_scalar(metric, x, y)
+    F = metric.norm(x, y)
+    return F * F * ricci_scalar(metric, x, y)
 
 
 # ======================================================================
@@ -275,7 +235,8 @@ def _ricci_tensors(metric, samples, step, contraction_limit):
                               - r((i, -2))) / np.array([12 * h * h for h in hs])
                 for j in range(i + 1, n):
                     c1, c2 = ((r((i, s), (j, s)) + r((i, -s), (j, -s)) - r((i, s), (j, -s))
-                               - r((i, -s), (j, s))) / np.array([4.0 * (s * h) ** 2 for h in hs])
+                               - r((i, -s), (j, s)))
+                              / np.array([4.0 * (s * h) * (s * h) for h in hs])
                               for s in (1, 2))
                     H[:, i, j] = H[:, j, i] = (4.0 * c1 - c2) / 3.0
             # symmetrize, then the 1/2 of the definition
@@ -294,7 +255,10 @@ def _ricci_tensors(metric, samples, step, contraction_limit):
         w, tensor = ((weighted[k], tensors[k]) if tensors is not None
                      else (v[0] for v in hessians(k, k + 1)))
         F = metric.norm(x, y)
-        data = CurvatureData(ric=w / F ** 2, ric_tensor=tensor, ell=y / F)
+        data = CurvatureData(ric=w / (F * F), ric_tensor=tensor, ell=y / F)
+        if not (math.isfinite(data.ric) and np.all(np.isfinite(tensor))):
+            raise DomainError(f"F^2 Ric is not finite on ricci_tensor's y-stencil at "
+                              f"y={y.tolist()}: the vector's scale is out of range")
         if data.contraction_residual > contraction_limit * max(1.0, abs(data.ric)):
             raise AccuracyError(
                 f"Ricci contraction identity residual {data.contraction_residual:.3e}",

@@ -220,8 +220,8 @@ def _funk_theta(alpha, beta, gamma, x, y):
     Theta = (sqrt(wy^2 - (y alpha y) phi) - wy) / phi with w = alpha x + beta.
     For wy > 0 the difference of nearly equal square roots is rationalized to
     -(y alpha y) / (sqrt + wy), which stays accurate down to the boundary.
-    Entries that are (N,) arrays, or jets over them, evaluate N line elements
-    at once, each element taking its own branch.
+    Entries that are (N,) arrays, or Dual2 numbers over them, evaluate N line
+    elements at once, each element taking its own branch.
     """
     ax = _mat_vec(alpha, x)
     p = _dot(x, ax) + 2.0 * _dot(beta, x) + gamma
@@ -450,11 +450,26 @@ class RandersMetric(FinslerMetric):
         return rng.uniform(-s, s, self.dimension)
 
 
-def randers_metric(spec: RandersSpec, grid_points=40, rng_seed=7) -> RandersMetric:
-    """Construct a Randers metric, rejecting |b|_a >= 1.
+def _check_spd(a, x):
+    """ConstructionError unless the Randers a at x is finite, symmetric and
+    positive definite, as its square root and |b|_a need."""
+    ok = bool(np.all(np.isfinite(a))) and np.allclose(a, a.T, atol=1e-12)
+    if ok:
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            ok = False
+    if not ok:
+        raise ConstructionError(f"randers: a is not a finite symmetric positive-definite "
+                                f"matrix at x={np.asarray(x).tolist()}")
 
-    The smallness condition and strong convexity are validated on a random
-    sample grid over the declared domain box at construction time.
+
+def randers_metric(spec: RandersSpec, grid_points=40, rng_seed=7) -> RandersMetric:
+    """Construct a Randers metric, rejecting an a that is not symmetric positive
+    definite and |b|_a >= 1.
+
+    Both conditions and strong convexity are validated on a random sample
+    grid over the declared domain box at construction time.
     """
     metric = RandersMetric(spec)
     rng = np.random.default_rng(rng_seed)
@@ -462,6 +477,7 @@ def randers_metric(spec: RandersSpec, grid_points=40, rng_seed=7) -> RandersMetr
     worst_x = None
     for _ in range(grid_points):
         x = metric.random_interior_point(rng)
+        _check_spd(spec.a_at(x), x)
         nb = metric.one_form_norm(x)
         if nb > worst:
             worst, worst_x = nb, x

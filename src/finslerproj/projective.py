@@ -344,14 +344,24 @@ def _q_window(metric, segment, margin_fraction=1e-6, drift_limit=1e-6):
     threshold = margin_fraction * metric.domain_scale
     n = metric.dimension
     states = segment.states(ss)
+    X, V = states[:, :n], states[:, n:]
+    try:
+        # one norm_batch over the valid samples; an invalid one is unhealthy
+        valid = metric.valid_line_elements(X, V)
+        drift_ok = np.zeros(len(ss), dtype=bool)
+        drift_ok[valid] = np.abs(metric.norm_batch(X[valid], V[valid]) - 1.0) <= drift_limit
+    except Exception:
+        drift_ok = None  # a closed form that raises on some sample: judge one by one
 
     def healthy(i):
         # judged only when the walk out from the anchor reaches sample i
-        x, v = states[i, :n], states[i, n:]
         try:
-            if abs(metric.norm(x, v) - 1.0) > drift_limit:
+            if drift_ok is None:
+                if not abs(metric.norm(X[i], V[i]) - 1.0) <= drift_limit:
+                    return False
+            elif not drift_ok[i]:
                 return False
-            if needs_room and metric.domain_value(x) < threshold:
+            if needs_room and metric.domain_value(X[i]) < threshold:
                 return False
         except Exception:
             return False

@@ -281,6 +281,14 @@ class TestUnusableInput:
         (["validate", "--metric", "klein", "--samples", "2", "--json", "missing/out.json"], {}),
         (["geodesic", "--metric", "klein", "--x0", "0", "0", "--y0", "1", "0",
           "--csv", "missing/trace.csv"], {}),
+        # F^2 overflows on ricci_tensor's y-stencil
+        (["curvature", "--metric", "euclidean", "--x", "0", "0", "--y", "2e155", "0",
+          "--samples", "1"], {}),
+        # a constant Randers a that is not positive definite
+        (["funk", "--metric", "randers", "--spec", "spec.json", *FUNK2],
+         {"spec.json": dict(RANDERS, a=[[-1.0, 0.0], [0.0, -1.0]])}),
+        (["funk", "--metric", "randers", "--spec", "spec.json", *FUNK2],
+         {"spec.json": dict(RANDERS, a=[[0.0, 0.0], [0.0, 0.0]])}),
     ])
     def test_one_error_line(self, argv, files, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -290,6 +298,18 @@ class TestUnusableInput:
         code, _ = run_args(argv, capture=True)
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "--x0", "0", "0", "--y0", "1", "0"],
+        ["projparam", "--x0", "0", "0", "--y0", "1", "0"],
+        ["pseudodist", "--x0", "0", "0", "--x1", "0.5", "0", "--c", "1", "--check-schwarz"],
+    ])
+    def test_failed_csv_write_prints_no_report(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, text = run_args(argv + ["--metric", "klein", "--csv", "missing/out.csv"],
+                              capture=True)
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err.startswith("error: config: cannot write missing/out.csv")
 
     def test_validate_message_kept(self, capsys):
         assert run_args(["validate", "--metric", "interval-funk"], capture=True)[0] == 1

@@ -177,6 +177,35 @@ class TestRicciScalarBatch:
         # batch replaced
         assert ricci_scalar(metric, x, y).hex() == pinned
 
+    @pytest.mark.parametrize("name, ric", [
+        ("klein2", -1.0), ("klein3", -2.0), ("klein5", -4.0),
+        ("funk_ball2", -0.25), ("funk_ball3", -0.5),
+        ("funk_ellipsoid2", -1.3 ** 2 / 4), ("funk_ellipsoid3", -2 * 1.3 ** 2 / 4),
+    ])
+    def test_einstein_constant_to_roundoff(self, name, ric):
+        # Klein: Ric = -(n - 1); Funk with constant k: Ric = -(n - 1) k^2 / 4
+        metric = (anisotropic_ellipsoid(2, 1) if name == "funk_ellipsoid2"
+                  else BATCH_METRICS[name]())
+        elements = metric.random_line_elements(100, np.random.default_rng(19))
+        X = np.array([x for x, _ in elements])
+        Y = np.array([y for _, y in elements])
+        assert np.abs(ricci_scalar_batch(metric, X, Y) - ric).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", ["klein3", "funk_ellipsoid3", "randers_const2",
+                                      "euclidean2"])
+    def test_one_spray_pass(self, name, monkeypatch):
+        metric = BATCH_METRICS[name]()
+        calls = []
+
+        def counting(x, y, impl=metric._spray_impl):
+            calls.append(len(x))
+            return impl(x, y)
+
+        monkeypatch.setattr(metric, "_spray_impl", counting)
+        elements = metric.random_line_elements(24, np.random.default_rng(31))
+        ricci_scalar_batch(metric, [x for x, _ in elements], [y for _, y in elements])
+        assert calls == [metric.dimension]
+
     def test_empty_batch(self):
         for metric in (klein_metric(2), blackbox_klein(2)):  # jet and stencil routes
             assert ricci_scalar_batch(metric, np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
@@ -537,13 +566,13 @@ class TestRicciBoundBatch:
         metric = probe_ellipsoid()
         with pytest.raises(AccuracyError) as single:
             ricci_tensor(metric, *PROBE_ELEMENT)
-        assert single.value.achieved.hex() == "0x1.08df28b3a5f80p-8"
+        assert single.value.achieved.hex() == "0x1.08df28b39b000p-8"
         # a healthy element first: the probe's error is still the one raised
         healthy = ([0.0, 0.0, 0.0], [0.0, 1.0, 0.0])
         ricci_tensor(metric, *healthy)
         with pytest.raises(AccuracyError) as batch:
             check_ricci_bound(metric, [healthy, PROBE_ELEMENT], 0.5)
-        assert batch.value.achieved.hex() == "0x1.08df28b3a5f80p-8"
+        assert batch.value.achieved.hex() == "0x1.08df28b39b000p-8"
 
     def test_earlier_accuracy_error_wins_over_later_curvature_error(self):
         metric = blackbox_klein(2)

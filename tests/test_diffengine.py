@@ -1,4 +1,4 @@
-"""Jet arithmetic, nested jet levels, the stencil, and the y-Hessian."""
+"""Jet arithmetic, second-order forward mode, the stencil, and the y-Hessian."""
 
 import math
 from types import SimpleNamespace
@@ -6,8 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from finslerproj.diffengine import (Jet, central_d1, extract_coefficient,
-                                    fundamental_tensor)
+from finslerproj.diffengine import Dual2, Jet, central_d1, fundamental_tensor, jet_where
 from finslerproj.errors import AccuracyError, ConstructionError
 from finslerproj.metrics import EuclideanMetric, funk_ball, klein_metric
 
@@ -28,10 +27,9 @@ class TestJet:
     def test_misuse_raises_construction_error(self):
         with pytest.raises(ConstructionError, match="order"):
             Jet.variable(1.0, 0)
-        inner = Jet.variable(1.0, 2, level=1)
-        outer = Jet([inner, 1.0], level=2)
-        with pytest.raises(ConstructionError, match="highest"):
-            extract_coefficient(outer, 1, 0)
+        u, _ = Dual2.variables([1.5, 2.0], 2)
+        with pytest.raises(ConstructionError, match="integer powers"):
+            u ** 0.5
 
     def test_division_and_reciprocal(self):
         t = Jet.variable(0.5, 3)
@@ -62,12 +60,14 @@ class TestJet:
         assert t.tanh().derivative(1) == pytest.approx(1.0 - math.tanh(0.4) ** 2)
 
     def test_nested_levels_mixed_partial(self):
-        # f(u, v) = u^2 v^3: d2/du2 d/dv = 2 * 3 v^2 = 6 v^2
-        u = Jet.variable(1.5, 2, level=2)
-        v = Jet.variable(2.0, 1, level=1)
+        # f(u, v) = u^2 v^3: f_uv = 6 u v^2, f_uu = 2 v^3, f_vv = 6 u^2 v, all
+        # from one second-order pass
+        u, v = Dual2.variables([1.5, 2.0], 2)
         f = u * u * (v * v * v)
-        inner = f.coef[2] * 2  # second derivative in u
-        assert inner.coef[1] == pytest.approx(6.0 * 4.0)
+        assert f.val == pytest.approx(1.5 ** 2 * 8.0)
+        assert f.grad.tolist() == pytest.approx([2 * 1.5 * 8.0, 3 * 1.5 ** 2 * 4.0])
+        assert np.allclose(f.hess, [[16.0, 6 * 1.5 * 4.0], [6 * 1.5 * 4.0, 6 * 1.5 ** 2 * 2.0]],
+                           rtol=1e-14, atol=0.0)
 
     def test_pow(self):
         t = Jet.variable(2.0, 2)
@@ -76,22 +76,21 @@ class TestJet:
         assert (t ** 0.5).derivative(1) == pytest.approx(0.5 / math.sqrt(2.0))
 
 
-def nested_partial(field, x, y, x_orders, y_orders):
-    """Mixed partial of field(x, y) by one nested jet level per active
-    coordinate, extracted from the highest level down."""
-    xs, ys = list(x), list(y)
-    levels = []
-    for coords, orders in ((xs, x_orders), (ys, y_orders)):
-        for i, o in enumerate(orders):
-            if o > 0:
-                coords[i] = Jet.variable(coords[i], o, level=len(levels) + 1)
-                levels.append(o)
-    value = field(xs, ys)
-    for level in range(len(levels), 0, -1):
-        value = extract_coefficient(value, level, levels[level - 1])
-        value = value * math.factorial(levels[level - 1])
-    assert not isinstance(value, Jet)
-    return float(value)
+def exact_partial(terms, orders, point):
+    """The partial derivative of orders `orders` of the polynomial
+    sum c prod z^e, differentiated term by term."""
+    total = 0.0
+    for c, ex in terms:
+        coef = c
+        for e, o in zip(ex, orders):
+            if o > e:
+                coef = 0.0
+                break
+            for j in range(o):
+                coef *= (e - j)
+        if coef:
+            total += coef * np.prod([p ** (e - o) for p, e, o in zip(point, ex, orders)])
+    return total
 
 
 def stripped(metric, supports_jets):
@@ -105,37 +104,18 @@ def stripped(metric, supports_jets):
 
 
 class TestNestedJets:
-    """The nested levels the curvature jets rely on (x order <= 2, y order
-    <= 3), against exact differentiation of random polynomials."""
+    """Mixed partials up to total order 2 from one Dual2 pass, the derivatives
+    the curvature formula reads (y's first, Hessian rows of the y's only),
+    against exact differentiation of random polynomials."""
 
     def test_random_polynomials(self, rng):
-        def oracle(terms, orders, point):
-            total = 0.0
-            for c, ex in terms:
-                coef = c
-                for e, o in zip(ex, orders):
-                    if o > e:
-                        coef = 0.0
-                        break
-                    for j in range(o):
-                        coef *= (e - j)
-                if coef:
-                    total += coef * np.prod(
-                        [p ** (e - o) for p, e, o in zip(point, ex, orders)])
-            return total
-
-        checked = 0
-        for _ in range(100):
+        for _ in range(60):
             terms = []
             for _ in range(rng.integers(2, 6)):
                 ex = rng.integers(0, 4, size=4)
                 while ex.sum() > 6:
                     ex = rng.integers(0, 4, size=4)
                 terms.append((float(rng.uniform(-2, 2)), ex))
-            xo = [int(o) for o in rng.integers(0, 3, size=2)]
-            yo = [int(o) for o in rng.integers(0, 4, size=2)]
-            if sum(xo) > 2 or sum(yo) > 3 or sum(xo) + sum(yo) == 0:
-                continue
 
             def field(x, y, terms=terms):
                 acc = 0.0
@@ -144,27 +124,59 @@ class TestNestedJets:
                                  * y[0] ** int(ex[2]) * y[1] ** int(ex[3]))
                 return acc
 
-            x0 = rng.uniform(0.2, 1.2, 2)
-            y0 = rng.uniform(0.2, 1.2, 2)
-            expected = oracle(terms, xo + yo, np.concatenate([x0, y0]))
-            got = nested_partial(field, x0, y0, xo, yo)
-            assert abs(got - expected) / max(1.0, abs(expected)) < 1e-10
-            checked += 1
-        assert checked >= 30
+            # a batch of 5 points: variables y0, y1, x0, x1, Hessian rows of y0, y1
+            Z = rng.uniform(0.2, 1.2, (4, 5))
+            z = Dual2.variables(list(Z), 2)
+            f = field(z[2:], z[:2])
+            order = [2, 3, 0, 1]  # the polynomial's exponents are (x0, x1, y0, y1)
+            for k in range(5):
+                point = Z[order, k]
+
+                def exact(*active):
+                    orders = [0] * 4
+                    for a in active:
+                        orders[order[a]] += 1
+                    return exact_partial(terms, orders, point)
+
+                scale = max(1.0, abs(exact()))
+                assert abs(f.val[k] - exact()) <= 1e-12 * scale
+                for a in range(4):
+                    assert abs(f.grad[a, k] - exact(a)) <= 1e-12 * max(1.0, abs(exact(a)))
+                    for r in range(2):
+                        want = exact(r, a)
+                        assert abs(f.hess[r, a, k] - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_mixed_partial_of_monomial(self):
-        # d/dx1 d^3/dy2^3 of x1 y2^3 is 6 everywhere
-        value = nested_partial(lambda x, y: x[0] * y[1] ** 3,
-                               [0.7, -0.2], [0.3, 0.5], [1, 0], [0, 3])
-        assert value == pytest.approx(6.0, abs=1e-12)
+        # x1 y2^3 at y2 = 1/2: d/dx1 d/dy2 is 3 y2^2, d^2/dy2^2 is 6 x1 y2
+        y1, y2, x1, x2 = Dual2.variables([0.3, 0.5, 0.7, -0.2], 2)
+        f = x1 * y2 ** 3
+        assert f.hess[1].tolist() == pytest.approx([0.0, 6 * 0.7 * 0.5, 0.75, 0.0], abs=1e-15)
+        assert f.hess[0].tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_funk_ball_golden_x_derivative(self, ball2):
-        def field(x, y):
-            f = ball2._norm_impl(x, y)
-            return f * f
+        y1, y2, x1, x2 = Dual2.variables([1.0, 0.0, 0.5, 0.0], 2)
+        f = ball2._norm_impl([x1, x2], [y1, y2])
+        assert (f * f).grad[2] == pytest.approx(FUNK_BALL_DF2_DX1, abs=1e-10)
 
-        value = nested_partial(field, [0.5, 0.0], [1.0, 0.0], [1, 0], [0, 0])
-        assert value == pytest.approx(FUNK_BALL_DF2_DX1, abs=1e-10)
+    def test_quotient_reciprocal_sqrt_and_powers(self):
+        # g(u, v) = sqrt(u) / v + v^-2 - 1 / u against its closed-form derivatives
+        u0, v0 = 0.8, 1.7
+        u, v = Dual2.variables([u0, v0], 2)
+        g = u.sqrt() / v + v ** -2 - 1.0 / u
+        assert g.val == pytest.approx(math.sqrt(u0) / v0 + v0 ** -2 - 1 / u0)
+        assert g.grad.tolist() == pytest.approx(
+            [0.5 / (math.sqrt(u0) * v0) + u0 ** -2, -math.sqrt(u0) / v0 ** 2 - 2 * v0 ** -3])
+        assert np.allclose(g.hess, [
+            [-0.25 * u0 ** -1.5 / v0 - 2 * u0 ** -3, -0.5 / (math.sqrt(u0) * v0 ** 2)],
+            [-0.5 / (math.sqrt(u0) * v0 ** 2), 2 * math.sqrt(u0) / v0 ** 3 + 6 * v0 ** -4]],
+            rtol=1e-14, atol=0.0)
+
+    def test_where_selects_value_and_derivatives(self):
+        u, v = Dual2.variables([np.array([1.0, 2.0]), np.array([3.0, 4.0])], 1)
+        w = jet_where(np.array([True, False]), u * v, 2.0)
+        assert w.val.tolist() == [3.0, 2.0]
+        assert w.grad.tolist() == [[3.0, 0.0], [1.0, 0.0]]
+        assert w.hess.tolist() == [[[0.0, 0.0], [1.0, 0.0]]]
 
 
 class TestCentralD1:
@@ -217,6 +229,22 @@ class TestFundamentalTensor:
         analytic = fundamental_tensor(ball2, x, y)
         numeric = fundamental_tensor(stripped(ball2, supports_jets=True), x, y)
         assert np.abs(numeric - analytic).max() < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_jet_route_is_one_norm_pass(self, n):
+        ball = funk_ball(n)
+        calls = []
+
+        def counting(x, y):
+            calls.append(len(y))
+            return ball._norm_impl(x, y)
+
+        metric = stripped(ball, supports_jets=True)
+        metric._norm_impl = counting
+        x, y = ball.random_line_elements(1, np.random.default_rng(5))[0]
+        g = fundamental_tensor(metric, x, y)
+        assert calls == [n]
+        assert np.abs(g - fundamental_tensor(ball, x, y)).max() < 1e-12
 
     @pytest.mark.parametrize("make", [lambda: funk_ball(2), lambda: funk_ball(3),
                                       lambda: klein_metric(3), lambda: EuclideanMetric(2)],
