@@ -21,14 +21,13 @@ from .core import validate_homogeneity, validate_strong_convexity
 from .curvature import check_ricci_bound, ricci_scalar_batch, ricci_tensor
 from .errors import ConfigError, FinslerError
 from .geodesics import connect, extend_geodesic, integrate_geodesic
-from .metrics import (EuclideanMetric, IntervalFunkMetric, QuadraticDomainSpec,
-                      RandersSpec, funk_ball, funk_from_quadratic,
-                      interval_funk_eval, klein_metric, randers_metric)
+from .metrics import (EuclideanMetric, QuadraticDomainSpec, RandersSpec, funk_ball,
+                      funk_from_quadratic, interval_funk_eval, klein_metric,
+                      randers_metric)
 from .projective import projective_parameter
 from .verify import run_all
 
-METRIC_KINDS = ("euclidean", "klein", "funk-ball", "funk-quadratic",
-                "randers", "interval-funk")
+METRIC_KINDS = ("euclidean", "klein", "funk-ball", "funk-quadratic", "randers")
 
 
 def _json_ready(value):
@@ -110,8 +109,6 @@ def build_metric(kind, n=2, k=1.0, spec=None):
         if kind == "randers":
             return randers_metric(RandersSpec(n, *arrays))
         return funk_from_quadratic(QuadraticDomainSpec(*arrays, *scalars))
-    if kind == "interval-funk":
-        return IntervalFunkMetric(k)
     raise ConfigError(f"unknown metric kind '{kind}'; choose from {METRIC_KINDS}")
 
 
@@ -119,10 +116,7 @@ def _metric_from_args(args):
     spec = getattr(args, "spec_blob", None)
     if spec is None and getattr(args, "spec", None):
         spec = _read_json(args.spec, "spec")
-    metric = build_metric(args.metric, n=args.n, k=args.k, spec=spec)
-    if isinstance(metric, IntervalFunkMetric) and args.cmd != "funk":
-        raise ConfigError(f"{args.cmd} needs an n >= 2 metric")
-    return metric
+    return build_metric(args.metric, n=args.n, k=args.k, spec=spec)
 
 
 def _add_metric_options(p, default="klein"):
@@ -344,7 +338,7 @@ class RunConfig:
                 argv += [str(v) for v in value]
             else:
                 argv += [flag, str(value)]
-        if name != "verify-all":
+        if name in ("validate", "curvature"):  # the commands that sample
             argv += ["--seed", str(self.seed)]
         return argv, spec_blob
 
@@ -402,7 +396,6 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--csv", help="write the sampled trace to this path")
     p.add_argument("--json")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_geodesic)
 
     p = sub.add_parser("curvature", help="Ricci data and the bound checker")
@@ -424,7 +417,6 @@ def build_parser():
     p.add_argument("--grid", type=_grid_size, default=201)
     p.add_argument("--csv")
     p.add_argument("--json")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_projparam)
 
     p = sub.add_parser("funk", help="Funk evaluations and interval distances")
@@ -436,7 +428,6 @@ def build_parser():
     p.add_argument("--eval-y", dest="eval_y", type=float, default=1.0)
     p.add_argument("--x", type=float, nargs="+")
     p.add_argument("--y", type=float, nargs="+")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_funk)
 
     p = sub.add_parser("pseudodist", help="pseudo-distance upper estimator")
@@ -452,12 +443,10 @@ def build_parser():
     p.add_argument("--grid", type=_grid_size, default=13)
     p.add_argument("--csv", help="write the h(u) table next to --check-schwarz")
     p.add_argument("--json")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_pseudodist)
 
     p = sub.add_parser("verify-all", help="run the full acceptance suite")
     p.add_argument("--json", help="write the summary to this path")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_verify_all)
 
     p = sub.add_parser("run", help="execute a JSON batch configuration")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _Report, as_components, as_coords, boundary_room, positive_finite
+from .core import _Report, boundary_room, positive_finite
 from .diffengine import Dual2, central_d1, d1_combine, d1_points, fundamental_tensor
 from .errors import AccuracyError, DomainError, NotProjectiveError
 from .geodesics import spray_batch, spray_vector
@@ -152,7 +152,7 @@ def ricci_scalar_batch(metric, X, Y) -> np.ndarray:
 
 def ricci_scalar(metric, x, y) -> float:
     """Ricci scalar at the line element (x, y); 0-homogeneous in y."""
-    return float(ricci_scalar_batch(metric, [as_coords(x)], [as_components(y)])[0])
+    return float(ricci_scalar_batch(metric, [x], [y])[0])
 
 
 def weighted_ricci(metric, x, y) -> float:
@@ -212,7 +212,7 @@ def _ricci_tensors(metric, samples, step, contraction_limit):
     n, K, col = metric.dimension, len(offsets), {o: k for k, o in enumerate(offsets)}
     elements = []
     for x, y in samples:
-        x, y = metric.check_line_element(as_coords(x), as_components(y))
+        x, y = metric.check_line_element(x, y)
         h = step * _yscale(y)
         if not 0.0 < h * h < math.inf:  # the second differences divide by h^2
             raise DomainError(f"ricci_tensor's y-step {h!r} at y={y.tolist()} has no usable square")
@@ -287,7 +287,7 @@ def curvature_matrix(metric, x, y) -> np.ndarray:
     connection N = (dG/dy)/2, applied to G^i_j / F; the trace reproduces the
     Ricci scalar of `ricci_scalar`.
     """
-    x, y = metric.check_line_element(as_coords(x), as_components(y))
+    x, y = metric.check_line_element(x, y)
     n = metric.dimension
     _, H = _x_steps(metric, x)
     X, Y = x[None], y[None]
@@ -357,7 +357,7 @@ def check_ricci_bound(metric, samples, c, tolerance=1e-3) -> RicciBoundReport:
     """Check (Ric)_ij <= -c^2 g_ij, as matrices, over sampled line elements."""
     c = positive_finite(c, "the Ricci bound constant c")
     tolerance = positive_finite(tolerance, "the Ricci bound tolerance")
-    samples = [(as_coords(x), as_components(y)) for x, y in samples]
+    samples = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in samples]
     report = RicciBoundReport(c=c, tolerance=tolerance, samples=samples)
     tensors = _ricci_tensors(metric, samples, TENSOR_STEP, CONTRACTION_LIMIT)
     for (x, y), data in zip(samples, tensors):
@@ -385,8 +385,8 @@ def projective_factor(metric_a, metric_b, x, y, tolerance=1e-6) -> ProjectiveFac
     Raises NotProjectiveError when the spray difference is not proportional
     to y at this line element.
     """
-    x = as_coords(x)
-    y = as_components(y)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     ga = spray_vector(metric_a, x, y)
     gb = spray_vector(metric_b, x, y)
     delta = gb - ga
@@ -411,8 +411,8 @@ def verify_ric_transformation(metric_a, metric_b, x, y) -> float:
     with the P derivatives taken from the pointwise-fitted factor field.
     Both sides are computed independently; the return value is their gap.
     """
-    x = as_coords(x)
-    y = as_components(y)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     n = metric_a.dimension
 
     def p_field(xx, yy):

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import _Report, as_coords, positive_finite
+from .core import _Report, positive_finite
 from .curvature import check_ricci_bound
 from .errors import (ConstructionError, DomainError,
                      HypothesisError, InadmissibleChartError)
@@ -35,29 +35,17 @@ TAU_MAX = 12.0
 # Interval Funk distance
 # ======================================================================
 
-@dataclass(frozen=True)
-class IntervalPair:
-    """An ordered pair of points of the interval (-1, 1) with a constant k."""
-
-    a: float
-    b: float
-    k: float = 1.0
-
-    def __post_init__(self):
-        if not (abs(self.a) < 1.0 and abs(self.b) < 1.0):
-            raise DomainError(f"interval pair ({self.a}, {self.b}) outside (-1, 1)")
-        positive_finite(self.k, "the Funk constant k")
-
-
-def funk_distance_interval(a, b=None, k=1.0) -> float:
+def funk_distance_interval(a, b, k=1.0) -> float:
     """Closed-form Funk distance on (-1, 1).
 
     D(a, b) = (|ln((1-a)(1+b) / ((1-b)(1+a)))| + ln((1-a^2)/(1-b^2))) / (2k);
     equals ln((1-a)/(1-b))/k forward and ln((1+a)/(1+b))/k backward, the
     oriented line integrals of the interval Funk norm.
     """
-    pair = a if isinstance(a, IntervalPair) else IntervalPair(float(a), float(b), float(k))
-    return _funk_interval(pair.a, pair.b, pair.k)
+    a, b = float(a), float(b)
+    if not (abs(a) < 1.0 and abs(b) < 1.0):
+        raise DomainError(f"interval pair ({a}, {b}) outside (-1, 1)")
+    return _funk_interval(a, b, positive_finite(k, "the Funk constant k"))
 
 
 def _funk_interval(a, b, k) -> float:
@@ -414,8 +402,8 @@ def pseudo_distance_upper(metric, x, y, options: PseudoDistanceOptions | None = 
     estimate.
     """
     options = options or PseudoDistanceOptions()
-    x = metric.check_point(as_coords(x))
-    y = metric.check_point(as_coords(y))
+    x = metric.check_point(x)
+    y = metric.check_point(y)
     if np.array_equal(x, y):
         link = ChainLink.degenerate_link(x, k=options.k)
         chain = Chain(links=[link], waypoints=[x, x])
@@ -655,8 +643,8 @@ def positivity_probe(metric, pairs, c, k=1.0, budget=48) -> PositivityReport:
     report = PositivityReport()
     options = PseudoDistanceOptions(budget=budget, k=k, c=c)
     for x, y in pairs:
-        x = metric.check_point(as_coords(x))
-        y = metric.check_point(as_coords(y))
+        x = metric.check_point(x)
+        y = metric.check_point(y)
         if np.array_equal(x, y):
             report.entries.append(PositivityEntry(
                 x=x, y=y, hypothesis_passed=True, estimate=0.0, canonical_value=0.0,

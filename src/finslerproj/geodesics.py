@@ -20,7 +20,7 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.linalg.blas import dgemv
 
-from .core import BOUNDARY_MARGIN, as_components, as_coords, boundary_room
+from .core import BOUNDARY_MARGIN, boundary_room
 from .diffengine import central_d1, fundamental_tensor
 from .errors import (ConnectivityError, ConvexityError, DomainError,
                      StiffnessError)
@@ -369,19 +369,18 @@ def _solve_leg(metric, z0, s_end, rtol, atol, margin, escape_as_truncation=False
 
 def _unit_state(metric, x0, y0):
     """The validated start (x0, y0 / F(x0, y0)) of a unit-speed geodesic."""
-    x0, y0 = metric.check_line_element(as_coords(x0), as_components(y0))
+    x0, y0 = metric.check_line_element(x0, y0)
     v = y0 / metric.norm(x0, y0)
     if not np.all(np.isfinite(v)):  # F underflowed to 0 or overflowed
         raise DomainError(f"{metric.name}: y0={y0.tolist()} cannot be scaled to unit speed")
     return np.concatenate([x0, v])
 
 
-def integrate_geodesic(metric, x0, y0, length, *, tol=1e-11,
-                       boundary_margin=BOUNDARY_MARGIN) -> GeodesicSegment:
+def integrate_geodesic(metric, x0, y0, length, *, tol=1e-11) -> GeodesicSegment:
     """Unit-speed geodesic from x0 in direction y0, integrated for the given length.
 
-    y0 is normalized to F(x0, y0) = 1. A boundary approach within the margin
-    stops the integration and flags the segment truncated.
+    y0 is normalized to F(x0, y0) = 1. A boundary approach within
+    BOUNDARY_MARGIN stops the integration and flags the segment truncated.
     """
     z0 = _unit_state(metric, x0, y0)
     if not (math.isfinite(length) and length >= 0):
@@ -389,21 +388,20 @@ def integrate_geodesic(metric, x0, y0, length, *, tol=1e-11,
                           "integrate the reverse direction for a backward leg")
     if length == 0.0:
         return GeodesicSegment(metric, z0)
-    sol, truncated = _solve_leg(metric, z0, float(length), tol, tol * 1e-1, boundary_margin)
+    sol, truncated = _solve_leg(metric, z0, float(length), tol, tol * 1e-1, BOUNDARY_MARGIN)
     return GeodesicSegment(metric, z0, forward=sol,
                            requested=(0.0, float(length)), truncated=(False, truncated))
 
 
-def extend_geodesic(metric, x0, y0, *, cap=EXTENSION_CAP, tol=1e-11,
-                    boundary_margin=EXTENSION_MARGIN) -> GeodesicSegment:
+def extend_geodesic(metric, x0, y0, *, cap=EXTENSION_CAP, tol=1e-11) -> GeodesicSegment:
     """Maximal extension through (x0, y0): both directions to the boundary
     margin or the length cap, which must be finite and positive."""
     if not (math.isfinite(cap) and cap > 0):
         raise DomainError(f"extension cap must be finite and positive, got {cap}")
     z0 = _unit_state(metric, x0, y0)
-    fwd, tf = _solve_leg(metric, z0, float(cap), tol, tol * 1e-1, boundary_margin,
+    fwd, tf = _solve_leg(metric, z0, float(cap), tol, tol * 1e-1, EXTENSION_MARGIN,
                          escape_as_truncation=True)
-    back, tb = _solve_leg(metric, z0, -float(cap), tol, tol * 1e-1, boundary_margin,
+    back, tb = _solve_leg(metric, z0, -float(cap), tol, tol * 1e-1, EXTENSION_MARGIN,
                           escape_as_truncation=True)
     return GeodesicSegment(metric, z0, forward=fwd, backward=back,
                            requested=(-float(cap), float(cap)), truncated=(tb, tf))
@@ -459,8 +457,8 @@ def connect(metric, x, y, tol=1e-8, max_nfev=60) -> BVPResult:
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"connect needs a finite positive miss tolerance, got {tol}")
-    x = metric.check_point(as_coords(x))
-    y = metric.check_point(as_coords(y))
+    x = metric.check_point(x)
+    y = metric.check_point(y)
     if np.array_equal(x, y):
         raise ConnectivityError("connect needs two distinct points", best_miss=0.0)
     n = metric.dimension
@@ -541,8 +539,8 @@ def finsler_distance(metric, x, y, tol=1e-8) -> float:
     Asymmetric in general: d(x, y) and d(y, x) differ whenever F is only
     positively homogeneous.
     """
-    x = metric.check_point(as_coords(x))
-    y = metric.check_point(as_coords(y))
+    x = metric.check_point(x)
+    y = metric.check_point(y)
     if np.array_equal(x, y):
         return 0.0
     return connect(metric, x, y, tol=tol).segment.length

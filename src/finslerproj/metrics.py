@@ -1,9 +1,9 @@
 """Shipped Finsler structures.
 
 Euclidean, Riemannian-from-tensor (with the Klein ball exemplar), Randers,
-the Funk metric of a quadratic domain, and the interval Funk metric. All
-closed forms are written branch-free over the coordinate entries so the jet
-engine can differentiate them.
+and the Funk metric of a quadratic domain, plus the interval Funk norm as a
+function of floats. All closed forms are written branch-free over the
+coordinate entries so the jet engine can differentiate them.
 """
 
 from __future__ import annotations
@@ -317,42 +317,13 @@ def funk_ball(n, k=1.0) -> QuadraticFunkMetric:
 
 
 # ======================================================================
-# Interval Funk metric (the 1-d model space)
+# Interval Funk norm (the 1-d model space)
 # ======================================================================
 
-class IntervalFunkMetric:
-    """Funk metric of the open interval (-1, 1).
-
-    F(u, y) = (|y| + u y) / (k (1 - u^2)), which is y/(k(1-u)) forward and
-    |y|/(k(1+u)) backward. Kept one-dimensional and separate from the n >= 2
-    structures; geodesics on I are trivial and the induced distance has the
-    closed form implemented in the distance module.
-    """
-
-    dimension = 1
-    domain_scale = 1.0
-    name = "interval-funk"
-
-    def __init__(self, k=1.0):
-        self.k = positive_finite(k, "the Funk constant k")
-
-    def domain_value(self, x):
-        u = float(np.atleast_1d(x)[0])
-        return 1.0 - u * u
-
-    def norm(self, x, y):
-        u, v = np.atleast_1d(x), np.atleast_1d(y)
-        if u.shape != (1,) or v.shape != (1,):
-            raise DomainError(f"interval-funk: x and y need one component each, "
-                              f"got {u.size} and {v.size}")
-        return interval_funk_eval(float(u[0]), float(v[0]), self.k)
-
-    def __call__(self, x, y):
-        return self.norm(x, y)
-
-
 def interval_funk_eval(u, y, k=1.0) -> float:
-    """Interval Funk norm (|y| + u y) / (k (1 - u^2)) at u in (-1, 1)."""
+    """Interval Funk norm (|y| + u y) / (k (1 - u^2)) at u in (-1, 1): y/(k(1-u))
+    forward and |y|/(k(1+u)) backward. Geodesics on the interval are trivial and
+    its distance has the closed form in the distance module."""
     if not abs(u) < 1.0:
         raise DomainError(f"interval-funk: u={u} outside (-1, 1)")
     if y == 0.0:
@@ -379,15 +350,13 @@ class RandersSpec:
     """Randers data F = sqrt(a_ij y y) + b_i y.
 
     a_provider(x) -> SPD matrix, b_provider(x) -> covector. Constant arrays
-    are accepted in place of providers. jet_safe marks providers written as
-    plain arithmetic, which lets the jet engine differentiate the norm.
+    are accepted in place of providers.
     """
 
     dimension: int
     a_provider: Callable | np.ndarray
     b_provider: Callable | np.ndarray
     domain_box: float = 1.0
-    jet_safe: bool = False
     name: str = "randers"
 
     def __post_init__(self):
@@ -413,10 +382,11 @@ class RandersSpec:
 class RandersMetric(FinslerMetric):
     """Randers norm with analytic fundamental tensor."""
 
+    supports_jets = False  # providers may be float-only; metric_tensor is analytic anyway
+
     def __init__(self, spec: RandersSpec):
         self.spec = spec
         self.dimension = spec.dimension
-        self.supports_jets = spec.jet_safe
         self.name = spec.name
         self._constant = not callable(spec.a_provider) and not callable(spec.b_provider)
         self.spray_supports_jets = self._constant
@@ -450,9 +420,9 @@ class RandersMetric(FinslerMetric):
         return rng.uniform(-s, s, self.dimension)
 
 
-def _check_spd(a, x):
-    """ConstructionError unless the Randers a at x is finite, symmetric and
-    positive definite, as its square root and |b|_a need."""
+def _check_spd(a, where=""):
+    """ConstructionError unless the Randers a is finite, symmetric and positive
+    definite, as its square root and |b|_a need; `where` names the point."""
     ok = bool(np.all(np.isfinite(a))) and np.allclose(a, a.T, atol=1e-12)
     if ok:
         try:
@@ -460,31 +430,35 @@ def _check_spd(a, x):
         except np.linalg.LinAlgError:
             ok = False
     if not ok:
-        raise ConstructionError(f"randers: a is not a finite symmetric positive-definite "
-                                f"matrix at x={np.asarray(x).tolist()}")
+        raise ConstructionError(
+            f"randers: a is not a finite symmetric positive-definite matrix{where}")
 
 
-def randers_metric(spec: RandersSpec, grid_points=40, rng_seed=7) -> RandersMetric:
+def randers_metric(spec: RandersSpec) -> RandersMetric:
     """Construct a Randers metric, rejecting an a that is not symmetric positive
     definite and |b|_a >= 1.
 
-    Both conditions and strong convexity are validated on a random sample
-    grid over the declared domain box at construction time.
+    A constant a is checked once; a field a, |b|_a and strong convexity are
+    validated on a grid of 40 random points over the declared domain box.
     """
     metric = RandersMetric(spec)
-    rng = np.random.default_rng(rng_seed)
+    a_varies = callable(spec.a_provider)
+    if not a_varies:
+        _check_spd(spec.a_at(None))
+    rng = np.random.default_rng(7)
     worst = 0.0
     worst_x = None
-    for _ in range(grid_points):
+    for _ in range(40):
         x = metric.random_interior_point(rng)
-        _check_spd(spec.a_at(x), x)
+        if a_varies:
+            _check_spd(spec.a_at(x), f" at x={x.tolist()}")
         nb = metric.one_form_norm(x)
         if nb > worst:
             worst, worst_x = nb, x
     if worst >= 1.0:
         raise ConstructionError(
             f"randers: |b|_a = {worst:.4f} >= 1 at x={np.asarray(worst_x).tolist()}")
-    report = validate_strong_convexity(metric, metric.random_line_elements(grid_points, rng))
+    report = validate_strong_convexity(metric, metric.random_line_elements(40, rng))
     if not report.passed:
         raise ConstructionError("randers: strong convexity fails on the sample grid")
     return metric

@@ -231,16 +231,17 @@ class ProjectiveParameter:
         out = (self._coefs[i] * powers[:, None, :]).sum(axis=2).T
         return out[:, 0] if ss.ndim == 0 else out
 
-    def wronskian_drift(self, max_scale=1e3, points=200) -> float:
-        """Worst deviation of the Wronskian from its initial value 1.
+    def wronskian_drift(self) -> float:
+        """Worst deviation of the Wronskian from its initial value 1 over 200
+        points of the segment.
 
-        Measured where the basis magnitude stays below max_scale; past that
-        the bilinear form w1' w2 - w1 w2' sits on the floating-point
+        Measured where the basis magnitude stays below 1e3; past that the
+        bilinear form w1' w2 - w1 w2' sits on the floating-point
         cancellation floor and conservation is no longer observable.
         """
-        w = self.basis(np.linspace(self.s_min, self.s_max, points))
+        w = self.basis(np.linspace(self.s_min, self.s_max, 200))
         drift = np.abs(w[1] * w[2] - w[0] * w[3] - 1.0)
-        return float(drift[np.abs(w).max(axis=0) <= max_scale].max(initial=0.0))
+        return float(drift[np.abs(w).max(axis=0) <= 1e3].max(initial=0.0))
 
     # -- charts -------------------------------------------------------------
 
@@ -346,10 +347,10 @@ def _q_window(metric, segment, margin_fraction=1e-6, drift_limit=1e-6):
     states = segment.states(ss)
     X, V = states[:, :n], states[:, n:]
     try:
-        # one norm_batch over the valid samples; an invalid one is unhealthy
+        # one validation and one evaluation of the valid samples; an invalid one is unhealthy
         valid = metric.valid_line_elements(X, V)
         drift_ok = np.zeros(len(ss), dtype=bool)
-        drift_ok[valid] = np.abs(metric.norm_batch(X[valid], V[valid]) - 1.0) <= drift_limit
+        drift_ok[valid] = np.abs(metric._norm_rows(X[valid], V[valid]) - 1.0) <= drift_limit
     except Exception:
         drift_ok = None  # a closed form that raises on some sample: judge one by one
 

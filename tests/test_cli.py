@@ -289,15 +289,22 @@ class TestUnusableInput:
          {"spec.json": dict(RANDERS, a=[[-1.0, 0.0], [0.0, -1.0]])}),
         (["funk", "--metric", "randers", "--spec", "spec.json", *FUNK2],
          {"spec.json": dict(RANDERS, a=[[0.0, 0.0], [0.0, 0.0]])}),
+        # no command reads a seed but validate and curvature
+        (["geodesic", "--x0", "0", "0", "--y0", "1", "0", "--seed", "3"], {}),
+        (["projparam", "--x0", "0", "0", "--y0", "1", "0", "--seed", "3"], {}),
+        (["funk", *FUNK2, "--seed", "3"], {}),
+        (["pseudodist", "--x0", "0", "0", "--x1", "0.5", "0", "--seed", "3"], {}),
+        (["verify-all", "--seed", "3"], {}),
     ])
     def test_one_error_line(self, argv, files, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         for name, content in files.items():
             text = content if isinstance(content, str) else json.dumps(content)
             (tmp_path / name).write_text(text)
-        code, _ = run_args(argv, capture=True)
+        code, text = run_args(argv, capture=True)
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert text == ""
 
     @pytest.mark.parametrize("argv", [
         ["geodesic", "--x0", "0", "0", "--y0", "1", "0"],
@@ -312,13 +319,25 @@ class TestUnusableInput:
         assert capsys.readouterr().err.startswith("error: config: cannot write missing/out.csv")
 
     def test_validate_message_kept(self, capsys):
+        # the interval Funk norm is not a metric kind; the message names the kinds
         assert run_args(["validate", "--metric", "interval-funk"], capture=True)[0] == 1
-        assert capsys.readouterr().err == "error: config: validate needs an n >= 2 metric\n"
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: argument --metric: invalid choice: "
+                              "'interval-funk'")
+        assert all(kind in err for kind in METRIC_KINDS)
 
     def test_interval_funk_norm_takes_one_component(self):
-        code, text = run_args(["funk", "--metric", "interval-funk", "--x", "0.1", "--y", "1"],
-                              capture=True)
+        code, text = run_args(["funk", "--eval-u", "0.1", "--eval-y", "1"], capture=True)
         assert (code, text) == (0, "1.111111\n")
+
+    def test_constant_randers_a_names_no_point(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(self.RANDERS, a=[[-1.0, 0.0], [0.0, -1.0]])))
+        code, text = run_args(["funk", "--metric", "randers", "--spec", str(spec),
+                               *self.FUNK2], capture=True)
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == ("error: ConstructionError: randers: a is not a "
+                                           "finite symmetric positive-definite matrix\n")
 
 
 class TestArgvProperty:
@@ -505,7 +524,9 @@ class TestBuildMetric:
     def test_kinds(self):
         assert build_metric("euclidean", 3).dimension == 3
         assert build_metric("klein", 2).name == "klein"
-        assert build_metric("interval-funk", k=2.0).k == 2.0
+        assert build_metric("funk-ball", 2, k=2.0).spec.k == 2.0
+        assert METRIC_KINDS == ("euclidean", "klein", "funk-ball", "funk-quadratic",
+                                "randers")
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):

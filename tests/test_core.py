@@ -1,15 +1,15 @@
-"""Axiom validators, points, and arc length."""
+"""Axiom validators, boundary room, and arc length."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from finslerproj.core import (FinslerMetric, Point, SampledCurve, TangentVector,
-                              arc_length, boundary_room, validate_homogeneity,
-                              validate_strong_convexity)
+from finslerproj.core import (FinslerMetric, SampledCurve, arc_length, boundary_room,
+                              validate_homogeneity, validate_strong_convexity)
 from finslerproj.errors import AccuracyError, ConstructionError, DomainError
-from finslerproj.metrics import IntervalFunkMetric, klein_metric
+from finslerproj.metrics import interval_funk_eval, klein_metric
 
 
 class SquaredNormField(FinslerMetric):
@@ -39,18 +39,22 @@ class NoisyMetric(FinslerMetric):
         return base * (1.0 + 1e-5 * math.sin(4e5 * (float(y[0]) + 2.0 * float(y[1]))))
 
 
-class TestPoints:
-    def test_point_validation(self):
-        p = Point(np.array([0.1, 0.2]))
-        assert len(p) == 2
-        with pytest.raises(DomainError):
-            Point(np.array([np.inf, 0.0]))
+class TestArrayValidation:
+    """check_point and check_line_element, the one entry check of every point
+    and vector, which arrive as arrays or sequences of floats."""
 
-    def test_tangent_vector_shape(self):
-        p = Point(np.array([0.1, 0.2]))
-        TangentVector(p, np.array([1.0, 0.0]))
-        with pytest.raises(DomainError):
-            TangentVector(p, np.array([1.0, 0.0, 0.0]))
+    def test_point_checks(self, klein2):
+        assert klein2.check_point([0.1, 0.2]).dtype == np.float64
+        with pytest.raises(DomainError, match="non-finite coordinates"):
+            klein2.check_point([np.inf, 0.0])
+        with pytest.raises(DomainError, match="point dimension"):
+            klein2.check_point([0.1, 0.2, 0.0])
+
+    def test_vector_shape(self, klein2):
+        x, y = klein2.check_line_element([0.1, 0.2], [1, 0])
+        assert y.dtype == np.float64
+        with pytest.raises(DomainError, match="vector dimension"):
+            klein2.check_line_element([0.1, 0.2], [1.0, 0.0, 0.0])
 
 
 class TestBoundaryRoom:
@@ -136,39 +140,44 @@ class TestStrongConvexity:
             validate_strong_convexity(NoisyMetric(), [([0.0, 0.0], [1.0, 0.5])])
 
 
+def curve(position, velocity):
+    """The curve object arc_length takes, from its two functions of t."""
+    return SimpleNamespace(position=position, velocity=velocity)
+
+
 class TestArcLength:
     def test_euclidean_straight_segment(self, eucl2):
-        L = arc_length(eucl2, (lambda t: np.array([t, 0.0]),
-                               lambda t: np.array([1.0, 0.0])), 0.0, 1.0)
+        L = arc_length(eucl2, curve(lambda t: np.array([t, 0.0]),
+                                    lambda t: np.array([1.0, 0.0])), 0.0, 1.0)
         assert L == pytest.approx(1.0, abs=1e-12)
 
     def test_interval_funk_forward_and_back(self):
-        metric = IntervalFunkMetric(1.0)
-        fwd = arc_length(metric, (lambda t: np.array([0.5 * t]),
-                                  lambda t: np.array([0.5])), 0.0, 1.0)
-        back = arc_length(metric, (lambda t: np.array([0.5 - 0.5 * t]),
-                                   lambda t: np.array([-0.5])), 0.0, 1.0)
+        metric = SimpleNamespace(norm=lambda u, y: interval_funk_eval(u[0], y[0]))
+        fwd = arc_length(metric, curve(lambda t: np.array([0.5 * t]),
+                                       lambda t: np.array([0.5])), 0.0, 1.0)
+        back = arc_length(metric, curve(lambda t: np.array([0.5 - 0.5 * t]),
+                                        lambda t: np.array([-0.5])), 0.0, 1.0)
         assert fwd == pytest.approx(math.log(2.0), abs=1e-10)
         assert back == pytest.approx(math.log(1.5), abs=1e-10)
 
     def test_additive_over_subranges(self, klein2):
         pos = lambda t: np.array([0.8 * t - 0.4, 0.1])
         vel = lambda t: np.array([0.8, 0.0])
-        whole = arc_length(klein2, (pos, vel), 0.0, 1.0)
-        split = (arc_length(klein2, (pos, vel), 0.0, 0.35)
-                 + arc_length(klein2, (pos, vel), 0.35, 1.0))
+        whole = arc_length(klein2, curve(pos, vel), 0.0, 1.0)
+        split = (arc_length(klein2, curve(pos, vel), 0.0, 0.35)
+                 + arc_length(klein2, curve(pos, vel), 0.35, 1.0))
         assert whole == pytest.approx(split, abs=1e-10)
 
     def test_sampled_curve_input(self, eucl2):
         ts = np.linspace(0.0, 1.0, 40)
         pts = np.column_stack([ts ** 2, ts])
-        L = arc_length(eucl2, (ts, pts), 0.0, 1.0)
+        L = arc_length(eucl2, SampledCurve(ts, pts), 0.0, 1.0)
         exact = 0.5 * (math.sqrt(5.0) + math.asinh(2.0) / 2.0)
         assert L == pytest.approx(exact, rel=1e-6)
 
     def test_nonconvergent_quadrature_raises(self, eucl2):
-        wobble = (lambda t: np.array([t, 0.0]),
-                  lambda t: np.array([1.0 + 0.5 * math.sin(3e6 * t), 0.0]))
+        wobble = curve(lambda t: np.array([t, 0.0]),
+                       lambda t: np.array([1.0 + 0.5 * math.sin(3e6 * t), 0.0]))
         with pytest.raises(AccuracyError) as info:
             arc_length(eucl2, wobble, 0.0, 1.0)
         assert info.value.achieved is not None

@@ -9,10 +9,9 @@ from scipy import integrate
 
 from finslerproj import distance
 from finslerproj.cli import dump_json
-from finslerproj.distance import (Chain, ChainLink, IntervalPair,
-                                  PseudoDistanceOptions, corollary_check, funk_distance_interval,
-                                  positivity_probe, pseudo_distance_upper,
-                                  schwarz_ratio)
+from finslerproj.distance import (Chain, ChainLink, PseudoDistanceOptions, corollary_check,
+                                  funk_distance_interval, positivity_probe,
+                                  pseudo_distance_upper, schwarz_ratio)
 from finslerproj.errors import (ConstructionError, DomainError, HypothesisError,
                                 InadmissibleChartError)
 from finslerproj.metrics import funk_ball, interval_funk_eval, klein_metric
@@ -60,13 +59,13 @@ class TestIntervalDistance:
 
     def test_interval_pair_validation(self):
         with pytest.raises(DomainError):
-            IntervalPair(1.0, 0.0)
+            funk_distance_interval(1.0, 0.0)
+        with pytest.raises(DomainError):
+            funk_distance_interval(0.0, -1.0)
         with pytest.raises(ConstructionError):
-            IntervalPair(0.0, 0.5, k=0.0)
+            funk_distance_interval(0.0, 0.5, k=0.0)
         with pytest.raises(ConstructionError):
-            IntervalPair(0.0, 0.5, k=math.inf)
-        assert funk_distance_interval(IntervalPair(0.0, 0.5)) == pytest.approx(
-            math.log(2.0))
+            funk_distance_interval(0.0, 0.5, k=math.inf)
 
 
 class TestChains:

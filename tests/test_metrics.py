@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from finslerproj.core import arc_length, validate_homogeneity, validate_strong_convexity
 from finslerproj.distance import funk_distance_interval
 from finslerproj.errors import ConstructionError, DomainError
-from finslerproj.metrics import (EuclideanMetric, IntervalFunkMetric, KleinMetric,
+from finslerproj.metrics import (EuclideanMetric, KleinMetric,
                                  QuadraticDomainSpec, QuadraticFunkMetric, RandersSpec,
                                  RiemannianMetric, RiemannianSpec, _funk_theta, funk_ball,
                                  funk_from_quadratic, interval_funk_eval, klein_metric,
@@ -108,12 +109,12 @@ class TestIntervalFunk:
         with pytest.raises(ConstructionError):
             interval_funk_eval(0.0, 1.0, k=0.0)
         with pytest.raises(ConstructionError):
-            IntervalFunkMetric(-2.0)
+            interval_funk_eval(0.0, 1.0, k=-2.0)
 
     @pytest.mark.parametrize("k", [math.inf, math.nan, 1e300, 1e-200])
     def test_funk_constant_needs_a_finite_nonzero_square(self, k):
         # k = inf divided norms to 0, k = 1e300 overflowed k ** 2
-        for build in (lambda: IntervalFunkMetric(k), lambda: interval_funk_eval(0.0, 1.0, k),
+        for build in (lambda: interval_funk_eval(0.0, 1.0, k),
                       lambda: QuadraticDomainSpec(alpha=-np.eye(2), beta=np.zeros(2),
                                                   gamma=1.0, k=k)):
             with pytest.raises(ConstructionError):
@@ -121,14 +122,15 @@ class TestIntervalFunk:
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     def test_arc_length_matches_closed_distance(self, k, rng):
-        metric = IntervalFunkMetric(k)
+        metric = SimpleNamespace(norm=lambda u, y: interval_funk_eval(u[0], y[0], k))
         for _ in range(7):
             a, b = rng.uniform(-0.9, 0.9, 2)
             d = b - a
             if d == 0:
                 continue
-            L = arc_length(metric, (lambda t: np.array([a + t * d]),
-                                    lambda t: np.array([d])), 0.0, 1.0)
+            line = SimpleNamespace(position=lambda t: np.array([a + t * d]),
+                                   velocity=lambda t: np.array([d]))
+            L = arc_length(metric, line, 0.0, 1.0)
             assert L == pytest.approx(funk_distance_interval(a, b, k), abs=1e-9)
 
 
@@ -177,6 +179,16 @@ class TestRanders:
     def test_oversized_one_form_rejected(self):
         with pytest.raises(ConstructionError, match="1.5"):
             randers_metric(RandersSpec(2, np.eye(2), np.array([1.5, 0.0])))
+
+    def test_constant_a_not_positive_definite_names_no_point(self):
+        with pytest.raises(ConstructionError) as info:
+            randers_metric(RandersSpec(2, -np.eye(2), np.zeros(2)))
+        assert str(info.value) == ("randers: a is not a finite symmetric "
+                                   "positive-definite matrix")
+
+    def test_field_a_not_positive_definite_names_its_point(self):
+        with pytest.raises(ConstructionError, match=r"positive-definite matrix at x=\["):
+            randers_metric(RandersSpec(2, lambda x: -np.eye(2), lambda x: np.zeros(2)))
 
     def test_position_dependent_one_form(self):
         spec = RandersSpec(
@@ -244,11 +256,11 @@ class TestNormBatch:
 
     @pytest.mark.parametrize("count", [2, 40])
     def test_jet_safe_provider_gets_floats(self, count):
-        # written for the jet contract, where x arrives as floats: on (N,)
-        # columns np.eye(2) * scalar would broadcast wrongly or fail
+        # providers are written for x as floats: on (N,) columns
+        # np.eye(2) * scalar would broadcast wrongly or fail
         metric = randers_metric(RandersSpec(
             2, lambda x: np.eye(2) * (1.0 + 0.1 * (x[0] * x[0] + x[1] * x[1])),
-            lambda x: np.array([0.1 * x[1], -0.1 * x[0]]), jet_safe=True))
+            lambda x: np.array([0.1 * x[1], -0.1 * x[0]])))
         elements = metric.random_line_elements(count, np.random.default_rng(5))
         X = np.array([x for x, _ in elements])
         Y = np.array([y for _, y in elements])
