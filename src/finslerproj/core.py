@@ -173,6 +173,15 @@ def positive_finite(value, what) -> float:
     return value
 
 
+def unit_scaled(y):
+    """(y 2^-e, e) with max|y 2^-e| in [1/2, 1), row by row for an (N, n)
+    stack. The scaling is exact, so a 0-homogeneous quantity evaluated at
+    y 2^-e is the same float at every power-of-two scale of y, and F^2 there
+    cannot over- or underflow on the vector's scale alone."""
+    e = np.frexp(np.abs(y).max(axis=-1))[1]
+    return np.ldexp(y, -e[..., None]), e
+
+
 def boundary_room(metric, x) -> float:
     """Coordinate room around x before a stencil exits the domain: phi(x) over
     the l1 norm of its central-difference gradient; +inf when unbounded."""

@@ -17,8 +17,8 @@ computed once per stencil point.
 
 The Ricci tensor is the y-Hessian of F^2 Ric / 2, which keeps the
 contraction identity Ric_ik l^i l^k = Ric automatic. `check_ricci_bound`
-validates all its samples, evaluates F^2 Ric over every sample's offset
-cloud in one batch, then assembles the samples in order.
+validates all its samples, evaluates F^2 Ric over every sample's stencil
+points in one batch, then assembles the samples in order.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _Report, boundary_room, positive_finite
-from .diffengine import Dual2, central_d1, d1_combine, d1_points, fundamental_tensor
+from .core import _Report, boundary_room, positive_finite, unit_scaled
+from .diffengine import (Dual2, central_d1, d1_combine, d1_points, fundamental_tensor,
+                         hessian_combine, hessian_points)
 from .errors import AccuracyError, DomainError, NotProjectiveError
 from .geodesics import spray_batch, spray_vector
 
@@ -124,11 +125,7 @@ def _ricci_and_energy(metric, X, Y):
     whole stack at once: G, tr dG/dx, the Jacobian dG/dy, and the sums
     S_x = sum_i d2G^i/dy^i dx and S_y = sum_i d2G^i/dy^i dy."""
     X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    # each row runs at y 2^-e with max|y 2^-e| in [1/2, 1): Ric is 0-homogeneous, and
-    # the scaling is exact, so Ric is the same float at every power-of-two scale of y
-    e = np.frexp(np.abs(Y).max(axis=-1))[1]
-    Y = np.ldexp(Y, -e[..., None])
+    Y, e = unit_scaled(np.asarray(Y, dtype=float))  # Ric is 0-homogeneous
     F = metric.norm_batch(X, Y)
     f2 = F * F  # correctly rounded, so F^2 is exact under the power-of-two scaling
     if not len(X):
@@ -183,64 +180,30 @@ TENSOR_STEP = 0.05
 CONTRACTION_LIMIT = 1e-3
 
 
-def _tensor_offsets(n):
-    """Integer offsets, in steps of h, at which ricci_tensor samples the
-    weighted Ricci field: the centre, +-1 and +-2 along each axis, and the
-    four diagonal corners at scales 1 and 2 of each coordinate plane."""
-    offsets = [(0,) * n]
-    for i in range(n):
-        for k in (1, -1, 2, -2):
-            offsets.append(tuple(k if m == i else 0 for m in range(n)))
-        for j in range(i + 1, n):
-            for k in (1, 2):
-                for a, b in ((k, k), (-k, -k), (k, -k), (-k, k)):
-                    offsets.append(tuple(a if m == i else (b if m == j else 0)
-                                         for m in range(n)))
-    return offsets
-
-
-def _ricci_tensors(metric, samples, step, contraction_limit):
+def _ricci_tensors(metric, samples):
     """Ricci tensors of the line elements in `samples`, yielded in order.
 
-    Every sample is validated before any curvature work. F^2 Ric over the
-    offset clouds y + h o of all samples then costs one _ricci_and_energy
-    call, and the (samples, offsets) values are differenced in y with
-    O(h^4) stencils, all samples at once; each sample is checked against
-    contraction_limit (and may raise AccuracyError) only when it is reached.
+    Every sample is validated and its y scaled into [1/2, 1) before any
+    curvature work (the tensor is 0-homogeneous). F^2 Ric over the stencil
+    points of all samples then costs one _ricci_and_energy call, and the
+    values are differenced by hessian_combine, all samples at once; each
+    sample is checked against CONTRACTION_LIMIT (and may raise
+    AccuracyError) only when it is reached.
     """
-    offsets = _tensor_offsets(metric.dimension)
-    n, K, col = metric.dimension, len(offsets), {o: k for k, o in enumerate(offsets)}
-    elements = []
-    for x, y in samples:
-        x, y = metric.check_line_element(x, y)
-        h = step * _yscale(y)
-        if not 0.0 < h * h < math.inf:  # the second differences divide by h^2
-            raise DomainError(f"ricci_tensor's y-step {h!r} at y={y.tolist()} has no usable square")
-        elements.append((x, y, h))
+    elements = [metric.check_line_element(x, y) for x, y in samples]
     if not elements:
         return
-    X = np.repeat([x for x, _, _ in elements], K, axis=0)
-    Y = np.concatenate([y + h * np.array(offsets, dtype=float) for _, y, h in elements])
+    X = np.array([x for x, _ in elements])
+    Ys = unit_scaled(np.array([y for _, y in elements]))[0]
+    h = TENSOR_STEP * np.abs(Ys).max(axis=1)
+    K = 1 + 4 * metric.dimension ** 2  # stencil points per sample
+    X, Y = np.repeat(X, K, axis=0), hessian_points(Ys, h)
 
     def hessians(k0, k1):
         """F^2 Ric at y, and the Ricci tensors, of samples k0 to k1 - 1."""
         ric, f2 = _ricci_and_energy(metric, X[k0 * K:k1 * K], Y[k0 * K:k1 * K])
         W = (f2 * ric).reshape(k1 - k0, K)
-        r = lambda *pairs: W[:, col[tuple(dict(pairs).get(m, 0) for m in range(n))]]
-        hs = [h for _, _, h in elements[k0:k1]]
-        H = np.empty((k1 - k0, n, n))
-        with np.errstate(all="ignore"):  # inf and nan pass silently, as on Python floats
-            for i in range(n):
-                H[:, i, i] = (-r((i, 2)) + 16 * r((i, 1)) - 30 * W[:, 0] + 16 * r((i, -1))
-                              - r((i, -2))) / np.array([12 * h * h for h in hs])
-                for j in range(i + 1, n):
-                    c1, c2 = ((r((i, s), (j, s)) + r((i, -s), (j, -s)) - r((i, s), (j, -s))
-                               - r((i, -s), (j, s)))
-                              / np.array([4.0 * (s * h) * (s * h) for h in hs])
-                              for s in (1, 2))
-                    H[:, i, j] = H[:, j, i] = (4.0 * c1 - c2) / 3.0
-            # symmetrize, then the 1/2 of the definition
-            return W[:, 0].tolist(), 0.5 * (H + H.transpose(0, 2, 1)) * 0.5
+        return W[:, 0].tolist(), 0.5 * hessian_combine(W, h[k0:k1])
 
     try:
         weighted, tensors = hessians(0, len(elements))
@@ -251,33 +214,30 @@ def _ricci_tensors(metric, samples, step, contraction_limit):
         # an earlier sample's AccuracyError still comes first and the
         # failing sample raises again when it is reached
         tensors = None
-    for k, (x, y, h) in enumerate(elements):
+    for k, ((x, _), y) in enumerate(zip(elements, Ys)):
         w, tensor = ((weighted[k], tensors[k]) if tensors is not None
                      else (v[0] for v in hessians(k, k + 1)))
         F = metric.norm(x, y)
         data = CurvatureData(ric=w / (F * F), ric_tensor=tensor, ell=y / F)
         if not (math.isfinite(data.ric) and np.all(np.isfinite(tensor))):
             raise DomainError(f"F^2 Ric is not finite on ricci_tensor's y-stencil at "
-                              f"y={y.tolist()}: the vector's scale is out of range")
-        if data.contraction_residual > contraction_limit * max(1.0, abs(data.ric)):
+                              f"x={x.tolist()}: the curvature overflows there")
+        if data.contraction_residual > CONTRACTION_LIMIT * max(1.0, abs(data.ric)):
             raise AccuracyError(
                 f"Ricci contraction identity residual {data.contraction_residual:.3e}",
                 achieved=data.contraction_residual)
         yield data
 
 
-def ricci_tensor(metric, x, y, step=TENSOR_STEP,
-                 contraction_limit=CONTRACTION_LIMIT) -> CurvatureData:
+def ricci_tensor(metric, x, y) -> CurvatureData:
     """Akbar-Zadeh Ricci tensor, the y-Hessian of F^2 Ric / 2.
 
-    The weighted-Ricci field F^2 Ric, evaluated at all stencil offsets in
-    one batch, is differenced in y with O(h^4) stencils.
-    The contraction identity is enforced a posteriori; a residual above
-    contraction_limit raises AccuracyError.
+    The weighted-Ricci field F^2 Ric, evaluated at all stencil points in one
+    batch, is differenced by hessian_combine at the step TENSOR_STEP max|y|,
+    with y scaled into [1/2, 1). The contraction identity is enforced a
+    posteriori; a residual above CONTRACTION_LIMIT raises AccuracyError.
     """
-    step = positive_finite(step, "the Ricci tensor step")
-    contraction_limit = positive_finite(contraction_limit, "the contraction limit")
-    return next(_ricci_tensors(metric, [(x, y)], step, contraction_limit))
+    return next(_ricci_tensors(metric, [(x, y)]))
 
 
 def curvature_matrix(metric, x, y) -> np.ndarray:
@@ -359,7 +319,7 @@ def check_ricci_bound(metric, samples, c, tolerance=1e-3) -> RicciBoundReport:
     tolerance = positive_finite(tolerance, "the Ricci bound tolerance")
     samples = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in samples]
     report = RicciBoundReport(c=c, tolerance=tolerance, samples=samples)
-    tensors = _ricci_tensors(metric, samples, TENSOR_STEP, CONTRACTION_LIMIT)
+    tensors = _ricci_tensors(metric, samples)
     for (x, y), data in zip(samples, tensors):
         g = fundamental_tensor(metric, x, y)
         report.max_eigenvalues.append(float(np.linalg.eigvalsh(data.ric_tensor + c * c * g)[-1]))

@@ -1,5 +1,5 @@
 """Derivatives on the slit tangent bundle: Taylor jets, second-order forward
-mode, the y-Hessian of F^2/2 and a first-derivative stencil.
+mode, and the stencils that differentiate black-box fields.
 
 `Jet` is a truncated Taylor series in one variable. `Dual2` carries a value,
 its gradient and chosen Hessian rows through plain arithmetic, exact up to
@@ -7,25 +7,21 @@ roundoff (Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008), N
 points of a batch at once where the value is an (N,) array; `jet_where`
 selects per point where a closed form branches.
 
-`fundamental_tensor` is the one Hessian the geometry is built from,
-g_ij = (F^2/2)_{y^i y^j}. An analytic provider on the metric answers first;
-otherwise one second-order pass differentiates a jet-safe norm, and central
-differences with Richardson extrapolation a black-box one.
-
-`d1_points` and `d1_combine`, the points and weights of one 5-point stencil,
-differentiate black-box fields, at one point (`central_d1`) or whole stacks.
+`d1_points` and `d1_combine` (one 5-point stencil) take first derivatives,
+and `hessian_points` and `hessian_combine` the one y-Hessian stencil, of
+whole stacks at caller-given steps. `fundamental_tensor`, g_ij =
+(F^2/2)_{y^i y^j} at y scaled into [1/2, 1), is the Hessian the geometry is
+built from: an analytic provider answers first, then one second-order pass
+over a jet-safe norm, then the y-Hessian stencil over a black-box one.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
-
 import numpy as np
 
+from .core import unit_scaled
 from .errors import AccuracyError, ConstructionError, ConvexityError
-
-_EPS = float(np.finfo(float).eps)
 
 
 # ======================================================================
@@ -350,31 +346,73 @@ def central_d1(fn, v, i, h):
     return d1_combine([np.asarray(fn(p)) for p in d1_points(v, i, h)], h)
 
 
+def hessian_offsets(n):
+    """Integer offsets, in steps of h, of the y-Hessian stencil: the centre,
+    +-1 and +-2 along each axis, and the four diagonal corners at scales 1
+    and 2 of each coordinate plane; 1 + 4 n^2 in all."""
+    offsets = [(0,) * n]
+    for i in range(n):
+        for k in (1, -1, 2, -2):
+            offsets.append(tuple(k if m == i else 0 for m in range(n)))
+        for j in range(i + 1, n):
+            for k in (1, 2):
+                for a, b in ((k, k), (-k, -k), (k, -k), (-k, k)):
+                    offsets.append(tuple(a if m == i else (b if m == j else 0)
+                                         for m in range(n)))
+    return offsets
+
+
+def hessian_points(Y, h):
+    """The points y + h o of hessian_offsets for every row y of the (N, n)
+    stack Y, steps h (N,): an (N K, n) stack, row by row of Y."""
+    O = np.array(hessian_offsets(Y.shape[1]), dtype=float)
+    return (Y[:, None, :] + h[:, None, None] * O).reshape(-1, Y.shape[1])
+
+
+def hessian_combine(W, h):
+    """(N, n, n) Hessians, O(h^4), from the (N, K) values W at hessian_points,
+    steps h (N,): exact on polynomials of degree 5. Each off-diagonal entry
+    is the Richardson combination of its corner differences at h and 2h."""
+    n = math.isqrt(W.shape[1] // 4)  # K = 1 + 4 n^2
+    col = {o: k for k, o in enumerate(hessian_offsets(n))}
+    r = lambda *pairs: W[:, col[tuple(dict(pairs).get(m, 0) for m in range(n))]]
+    H = np.empty((len(W), n, n))
+    with np.errstate(all="ignore"):  # inf and nan pass silently, as on Python floats
+        for i in range(n):
+            H[:, i, i] = (-r((i, 2)) + 16 * r((i, 1)) - 30 * W[:, 0] + 16 * r((i, -1))
+                          - r((i, -2))) / (12 * h * h)
+            for j in range(i + 1, n):
+                c1, c2 = ((r((i, s), (j, s)) + r((i, -s), (j, -s)) - r((i, s), (j, -s))
+                           - r((i, -s), (j, s))) / (4.0 * (s * h) * (s * h))
+                          for s in (1, 2))
+                H[:, i, j] = H[:, j, i] = (4.0 * c1 - c2) / 3.0
+    return H
+
+
 # ======================================================================
 # fundamental tensor
 # ======================================================================
 
-# Richardson halvings of the finite-difference step, and the largest relative
-# disagreement accepted between the last two levels
-RICHARDSON_LEVELS = 2
+# the black-box route's y-step relative to max|y|, and the largest relative
+# disagreement accepted between its estimates at that step and at half of it
+ENERGY_STEP = 4e-3
 MAX_RELATIVE_ERROR = 1e-4
-
-# central stencils (offset, weight) of the first and second derivative, with
-# error series in even powers of h
-_D1 = ((-1, -0.5), (1, 0.5))
-_D2 = ((-1, 1.0), (0, -2.0), (1, 1.0))
 
 
 def fundamental_tensor(metric, x, y) -> np.ndarray:
-    """Hessian of F^2/2 in y, the fundamental tensor g_ij(x, y).
+    """Hessian of F^2/2 in y, the fundamental tensor g_ij(x, y), at y scaled
+    into [1/2, 1) (g is 0-homogeneous).
 
     Analytic providers on the metric take precedence; otherwise one
-    second-order forward pass differentiates a jet-safe norm and central
-    differences a black-box one. The numeric result is symmetrized exactly.
+    second-order forward pass differentiates a jet-safe norm, and the
+    y-Hessian stencil at steps h and h/2 a black-box one: the h/2 estimate,
+    or AccuracyError where the two differ by over MAX_RELATIVE_ERROR. The
+    numeric result is symmetrized exactly.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     metric.check_line_element(x, y)
+    y = unit_scaled(y)[0]
     analytic = metric.metric_tensor(x, y)
     if analytic is not None:
         g = np.asarray(analytic, dtype=float)
@@ -384,57 +422,15 @@ def fundamental_tensor(metric, x, y) -> np.ndarray:
         f = metric._norm_impl(list(x), Dual2.variables(y.tolist(), n))
         g = (0.5 * (f * f)).hess
     else:
-        g = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                g[i, j] = g[j, i] = _energy_y_hessian_fd(metric, x, y, i, j)
+        h = ENERGY_STEP * np.abs(y).max() * np.array([1.0, 0.5])
+        E = [0.5 * f * f for f in (metric.norm(x, v) for v in hessian_points(np.stack([y, y]), h))]
+        coarse, g = hessian_combine(np.reshape(E, (2, -1)), h)
+        err = np.abs(g - coarse)
+        if np.any(err > MAX_RELATIVE_ERROR * np.maximum(np.abs(g), 1.0)):
+            raise AccuracyError(
+                f"y-Hessian estimates at steps h and h/2 disagree by {err.max():.3e} "
+                f"(limit {MAX_RELATIVE_ERROR:.1e} relative)", achieved=float(err.max()))
     g = 0.5 * (g + g.T)
     if not np.all(np.isfinite(g)):
         raise ConvexityError("fundamental tensor is not finite")
     return g
-
-
-def _energy_y_hessian_fd(metric, x, y, i, j):
-    """d^2(F^2/2)/dy^i dy^j by central differences on the norm, with
-    Richardson extrapolation over halved steps.
-
-    Raises AccuracyError when the last two Richardson levels disagree by
-    more than MAX_RELATIVE_ERROR.
-    """
-    def energy(v):
-        f = metric.norm(x, v)
-        return 0.5 * f * f
-
-    # base step eps^(1/4), the optimum for a second derivative, widened for
-    # the halvings
-    base = _EPS ** 0.25 * 2.0 * 4.0 ** RICHARDSON_LEVELS
-    axes = [(i, _D2, 2)] if i == j else [(i, _D1, 1), (j, _D1, 1)]
-
-    def estimate(shrink):
-        stencil_axes = []
-        for k, stencil, order in axes:
-            h = base * max(1.0, abs(y[k])) / shrink
-            stencil_axes.append([(k, off * h, w / h ** order) for off, w in stencil])
-        acc = 0.0
-        for combo in product(*stencil_axes):
-            v = y.copy()
-            w = 1.0
-            for k, dh, wk in combo:
-                v[k] += dh
-                w *= wk
-            acc += w * float(energy(v))
-        return acc
-
-    table = [[estimate(2.0 ** m) for m in range(RICHARDSON_LEVELS + 1)]]
-    for m in range(1, RICHARDSON_LEVELS + 1):
-        prev = table[-1]
-        fac = 4.0 ** m
-        table.append([(fac * prev[k + 1] - prev[k]) / (fac - 1.0)
-                      for k in range(len(prev) - 1)])
-    value = table[-1][0]
-    err = abs(value - table[-2][0])
-    if err > MAX_RELATIVE_ERROR * max(abs(value), 1.0):
-        raise AccuracyError(
-            f"Richardson levels disagree by {err:.3e} "
-            f"(limit {MAX_RELATIVE_ERROR:.1e} relative)", achieved=err)
-    return float(value)

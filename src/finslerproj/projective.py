@@ -130,32 +130,22 @@ def _schwarzian_from_derivs(d1, d2, d3, t):
     return d3 / d1 - 1.5 * r2 * r2
 
 
-def _derivatives(f, t, step):
-    """f and its first three derivatives at t: by a forward Taylor jet where
-    the callable f takes one, else by the central stencils of schwarzian_fd."""
+def _derivatives(f, t):
+    """f and its first three derivatives at t, by a forward Taylor jet."""
     try:
         jet = f(Jet.variable(float(t), 3))
     except (TypeError, AttributeError):
         jet = None
-    if isinstance(jet, Jet):
-        return jet.coef[0], jet.coef[1], 2.0 * jet.coef[2], 6.0 * jet.coef[3]
-    return _stencil_derivatives(f, t, step)
+    if not isinstance(jet, Jet):
+        raise ConstructionError("schwarzian differentiates f through a Jet, which f does not "
+                                "take; schwarzian_fd is the stencil for black-box callables")
+    return jet.coef[0], jet.coef[1], 2.0 * jet.coef[2], 6.0 * jet.coef[3]
 
 
-def schwarzian(f, t, *, step=0.02) -> float:
-    """Schwarzian derivative {f, t} = f'''/f' - 3/2 (f''/f')^2.
-
-    f may be a callable or a (t_samples, f_samples) pair of dense samples.
-    Callables are differentiated by a forward Taylor jet when they accept
-    one, with a high-order central stencil as the fallback.
-    """
-    if not callable(f):
-        ts, vs = f
-        spline = interpolate.make_interp_spline(np.asarray(ts, float),
-                                                np.asarray(vs, float), k=5)
-        return _schwarzian_from_derivs(float(spline(t, 1)), float(spline(t, 2)),
-                                       float(spline(t, 3)), t)
-    return _schwarzian_from_derivs(*_derivatives(f, t, step)[1:], t)
+def schwarzian(f, t) -> float:
+    """Schwarzian derivative {f, t} = f'''/f' - 3/2 (f''/f')^2 of a callable
+    that takes a Jet, by one forward Taylor jet."""
+    return _schwarzian_from_derivs(*_derivatives(f, t)[1:], t)
 
 
 # 9-point O(h^6) central stencils for orders 1..3
@@ -168,22 +158,20 @@ _STENCIL9 = {
 _OFFSETS9 = np.arange(-4.0, 5.0)
 
 
-def _stencil_derivatives(f, t, step):
-    vals = np.array([float(f(t + o * step)) for o in _OFFSETS9])
-    return (float(vals[4]), float(_STENCIL9[1] @ vals) / step,
-            float(_STENCIL9[2] @ vals) / step ** 2, float(_STENCIL9[3] @ vals) / step ** 3)
-
-
 def schwarzian_fd(f, t, step=0.02) -> float:
-    """Finite-difference Schwarzian for black-box callables."""
-    return _schwarzian_from_derivs(*_stencil_derivatives(f, t, step)[1:], t)
+    """Finite-difference Schwarzian for black-box callables: 9-point central
+    stencils at the given step."""
+    vals = np.array([float(f(t + o * step)) for o in _OFFSETS9])
+    return _schwarzian_from_derivs(float(_STENCIL9[1] @ vals) / step,
+                                   float(_STENCIL9[2] @ vals) / step ** 2,
+                                   float(_STENCIL9[3] @ vals) / step ** 3, t)
 
 
-def check_composition(f, g, t, *, step=0.02) -> float:
+def check_composition(f, g, t) -> float:
     """Residual of the chain rule {f o g, t} = {f, g(t)} (g'(t))^2 + {g, t}."""
-    lhs = schwarzian(lambda u: f(g(u)), t, step=step)
-    gt, dg = _derivatives(g, t, step)[:2]
-    rhs = schwarzian(f, gt, step=step) * dg * dg + schwarzian(g, t, step=step)
+    lhs = schwarzian(lambda u: f(g(u)), t)
+    gt, dg = _derivatives(g, t)[:2]
+    rhs = schwarzian(f, gt) * dg * dg + schwarzian(g, t)
     return abs(lhs - rhs)
 
 

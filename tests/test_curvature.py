@@ -10,7 +10,7 @@ from finslerproj.curvature import (check_ricci_bound, curvature_matrix,
                                    projective_factor, ricci_scalar,
                                    ricci_scalar_batch, ricci_tensor,
                                    verify_ric_transformation)
-from finslerproj.diffengine import fundamental_tensor
+from finslerproj.diffengine import fundamental_tensor, hessian_offsets
 from finslerproj.errors import (AccuracyError, ConstructionError, ConvexityError,
                                 DomainError, FinslerError, NotProjectiveError)
 from finslerproj.geodesics import spray_batch, spray_vector
@@ -285,7 +285,7 @@ class TestRicciTensor:
         reference for the stacked differencing of ricci_tensor."""
         n = metric.dimension
         h = step * float(np.abs(y).max())
-        offsets = curvature._tensor_offsets(n)
+        offsets = hessian_offsets(n)
         ric, f2 = curvature._ricci_and_energy(
             metric, np.tile(x, (len(offsets), 1)), y + h * np.array(offsets, dtype=float))
         w = dict(zip(offsets, (f2 * ric).tolist()))
@@ -302,11 +302,11 @@ class TestRicciTensor:
 
     @pytest.mark.parametrize("make", [lambda: klein_metric(3),
                                       lambda: anisotropic_ellipsoid(3, 2)])
-    def test_equals_scalar_loop(self, make):
+    def test_equals_scalar_loop(self, make, monkeypatch):
         metric = make()
         samples = metric.random_line_elements(4, np.random.default_rng(8))
-        for (x, y), data in zip(samples, curvature._ricci_tensors(
-                metric, samples, curvature.TENSOR_STEP, math.inf)):
+        monkeypatch.setattr(curvature, "CONTRACTION_LIMIT", math.inf)
+        for (x, y), data in zip(samples, curvature._ricci_tensors(metric, samples)):
             tensor, ric = self.scalar_loop_tensor(metric, x, y)
             assert hexes(data.ric_tensor.ravel()) == hexes(tensor.ravel())
             assert data.ric.hex() == ric.hex()
@@ -358,18 +358,17 @@ class TestRicciBound:
         with pytest.raises(ConstructionError):
             check_ricci_bound(klein2, [([0.0, 0.0], [1.0, 0.0])], c, tolerance=tolerance)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"step": 0.0}, {"step": math.inf}, {"step": -0.05},
-        {"contraction_limit": math.nan}, {"contraction_limit": 0.0},
-        {"contraction_limit": math.inf}])
-    def test_tensor_parameters_finite_and_positive(self, klein2, kwargs):
-        # step=0 raised a bare ZeroDivisionError; a nan limit never raised
-        with pytest.raises(ConstructionError):
-            ricci_tensor(klein2, [0.1, 0.0], [1.0, 0.5], **kwargs)
-
     def test_y_step_without_a_square(self, klein2):
-        with pytest.raises(DomainError):
-            ricci_tensor(klein2, [0.1, 0.0], [1e-300, 0.0])
+        # y is scaled into [1/2, 1) before its stencil: at 2^-997 the tensor
+        # is the one at (1, 0) bit for bit, and at 1e-300, with no power-of-two
+        # ratio to (1, 0), it is still Klein's -g
+        x = [0.1, 0.0]
+        tiny = ricci_tensor(klein2, x, [2.0 ** -997, 0.0]).ric_tensor
+        unit = ricci_tensor(klein2, x, [1.0, 0.0]).ric_tensor
+        assert hexes(tiny.ravel()) == hexes(unit.ravel())
+        data = ricci_tensor(klein2, x, [1e-300, 0.0])
+        g = fundamental_tensor(klein2, x, [1e-300, 0.0])
+        assert np.abs(data.ric_tensor + g).max() <= 1e-4
 
 
 def blackbox_klein(n, calls=None):
@@ -501,7 +500,7 @@ class TestBlackBoxRoute:
         metric = blackbox_klein(2, calls)
         report = check_ricci_bound(metric, [([0.3, -0.2], [0.7, 0.4])], 1.0)
         assert report.passed
-        cloud = len(curvature._tensor_offsets(2))
+        cloud = len(hessian_offsets(2))
         assert len(solves) == 17 and all(len(shape) == 3 for shape in solves)
         assert sum(shape[0] for shape in solves) == cloud * (1 + 8 * 2 + 32 * 2 ** 2)
         # besides the x-data: F^2 over the cloud, g and F at the sample

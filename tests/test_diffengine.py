@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from finslerproj.diffengine import Dual2, Jet, central_d1, fundamental_tensor, jet_where
+from finslerproj.diffengine import (Dual2, Jet, central_d1, fundamental_tensor, hessian_combine,
+                                   hessian_points, jet_where)
 from finslerproj.errors import AccuracyError, ConstructionError
 from finslerproj.metrics import EuclideanMetric, funk_ball, klein_metric
 
@@ -250,15 +251,46 @@ class TestFundamentalTensor:
                                       lambda: klein_metric(3), lambda: EuclideanMetric(2)],
                              ids=["funk-ball-2", "funk-ball-3", "klein-3", "euclidean-2"])
     def test_stencil_route_matches_analytic(self, make, rng):
-        # central differences with Richardson extrapolation on a black-box
-        # norm, within the finite-difference tolerance
+        # the y-Hessian stencil on a black-box norm, within the
+        # finite-difference tolerance
         metric = make()
         black_box = stripped(metric, supports_jets=False)
         for x, y in metric.random_line_elements(10, rng):
             analytic = fundamental_tensor(metric, x, y)
             numeric = fundamental_tensor(black_box, x, y)
             scale = max(1.0, float(np.abs(analytic).max()))
-            assert np.abs(numeric - analytic).max() / scale < 1e-7
+            assert np.abs(numeric - analytic).max() / scale < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_hessian_stencil_exact_on_quintics(self, n, rng):
+        # the O(h^4) stencil's error terms are sixth derivatives, which
+        # vanish on polynomials of total degree <= 5
+        terms = [(float(rng.normal()), rng.multinomial(d, np.ones(n) / n))
+                 for d in range(6) for _ in range(4)]
+
+        def p(V):
+            return sum(c * np.prod(V ** k, axis=-1) for c, k in terms)
+
+        def exact(y):
+            H = np.zeros((n, n))
+            for c, k in terms:
+                for i in range(n):
+                    for j in range(n):
+                        kk = k.astype(float).copy()
+                        f = kk[i]
+                        kk[i] -= 1
+                        f *= kk[j]
+                        kk[j] -= 1
+                        if f != 0.0:
+                            H[i, j] += c * f * np.prod(y ** np.maximum(kk, 0))
+            return H
+
+        Y = rng.uniform(-1.0, 1.0, (5, n))
+        h = rng.uniform(0.5, 1.0, 5)  # wide steps: exactness holds at any h, roundoff falls
+        H = hessian_combine(p(hessian_points(Y, h)).reshape(5, -1), h)
+        for y, Hk in zip(Y, H):
+            ref = exact(y)
+            assert np.abs(Hk - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
     def test_noisy_hessian_raises_accuracy_error(self):
         # an energy with a tiny fast oscillation: the halved-step estimates

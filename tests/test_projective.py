@@ -138,15 +138,14 @@ class TestSchwarzian:
             assert schwarzian(jet_tan, float(t)) == pytest.approx(2.0, abs=1e-8)
 
     def test_finite_difference_fallback(self):
-        # plain-float callables take the stencil route; tan's fast-growing
-        # derivatives cap the stencil accuracy below the jet path's
-        assert schwarzian(math.tanh, 0.3) == pytest.approx(-2.0, abs=1e-8)
+        # plain-float callables take the explicit stencil; schwarzian itself
+        # differentiates only through a Jet and names the stencil otherwise.
+        # tan's fast-growing derivatives cap the stencil accuracy below the
+        # jet path's
+        assert schwarzian_fd(math.tanh, 0.3) == pytest.approx(-2.0, abs=1e-8)
         assert schwarzian_fd(math.tan, 0.5) == pytest.approx(2.0, abs=5e-7)
-
-    def test_sampled_input(self):
-        ts = np.linspace(-1.0, 1.0, 400)
-        vals = np.tanh(ts)
-        assert schwarzian((ts, vals), 0.2) == pytest.approx(-2.0, abs=1e-5)
+        with pytest.raises(ConstructionError, match="schwarzian_fd"):
+            schwarzian(math.tanh, 0.3)
 
     def test_critical_point_error(self):
         with pytest.raises(CriticalPointError):
