@@ -35,39 +35,50 @@ class FinslerMetric:
     # -- evaluation ------------------------------------------------------
 
     def norm(self, x, y) -> float:
-        """F(x, y), validated: x inside the domain, y nonzero. Shipped closed
-        forms run on Python floats, bit for bit their values on arrays."""
+        """F(x, y), validated: x inside the domain, y nonzero, F finite. Shipped
+        closed forms run on Python floats, bit for bit their values on arrays."""
         x, y = self.check_line_element(x, y)
         if not self._norm_takes_columns:
-            return float(self._norm_impl(x, y))
-        try:
-            return float(self._norm_impl(x.tolist(), y.tolist()))
-        except ZeroDivisionError:  # the closed form's own phi rounded to 0
-            raise DomainError(f"{self.name}: x={x.tolist()} is on the boundary") from None
+            f = float(self._norm_impl(x, y))
+        else:
+            try:
+                f = float(self._norm_impl(x.tolist(), y.tolist()))
+            except ZeroDivisionError:  # the closed form's own phi rounded to 0
+                raise DomainError(f"{self.name}: x={x.tolist()} is on the boundary") from None
+        if not math.isfinite(f):
+            raise self._not_finite(x, y)
+        return f
 
     def norm_batch(self, X, Y) -> np.ndarray:
         """F at N line elements given as (N, n) stacks X, Y; element k equals
         norm(X[k], Y[k]). The whole stack is validated first, and the first
         invalid element raises its own check_line_element error; a shipped
         `_norm_impl` then runs once on the coordinate columns, any other is
-        evaluated element by element."""
+        evaluated element by element. A non-finite F raises as in norm."""
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         if X.ndim != 2 or X.shape != Y.shape:
             raise DomainError(f"{self.name}: line elements must come as two (N, n) "
                               f"stacks of one shape, got {X.shape} and {Y.shape}")
-        if self._norm_takes_columns:
-            valid = self.valid_line_elements(X, Y)
-            if not valid.all():
-                bad = int(np.argmin(valid))
-                self.check_line_element(X[bad], Y[bad])
-        return self._norm_rows(X, Y)
+        valid = self.valid_line_elements(X, Y)
+        if not valid.all():
+            bad = int(np.argmin(valid))
+            self.check_line_element(X[bad], Y[bad])
+        F = self._norm_rows(X, Y)
+        finite = np.isfinite(F)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise self._not_finite(X[bad], Y[bad])
+        return F
+
+    def _not_finite(self, x, y):
+        return DomainError(f"{self.name}: F is not finite at x={x.tolist()}, y={y.tolist()}")
 
     def _norm_rows(self, X, Y) -> np.ndarray:
         """norm_batch's values on (N, n) float stacks whose rows
         valid_line_elements accepts, without validating them again."""
         if not self._norm_takes_columns:
-            return np.array([self.norm(x, y) for x, y in zip(X, Y)], dtype=float)
+            return np.array([float(self._norm_impl(x, y)) for x, y in zip(X, Y)], dtype=float)
         values = self._norm_impl(list(X.T), list(Y.T))
         return np.broadcast_to(np.asarray(values, dtype=float), (len(X),)).copy()
 

@@ -15,8 +15,9 @@ nested stencils. For a Riemannian tensor without Christoffels the spray's
 x-data (the tensor and its x-derivatives) does not depend on y: it is
 computed once per stencil point.
 
-The Ricci tensor is the y-Hessian of F^2 Ric / 2, which keeps the
-contraction identity Ric_ik l^i l^k = Ric automatic. `check_ricci_bound`
+The Ricci tensor is the y-Hessian of F^2 Ric / 2 by diffengine's one
+y-Hessian stencil at y scaled into [1/2, 1), which keeps the contraction
+identity Ric_ik l^i l^k = Ric automatic. `check_ricci_bound`
 validates all its samples, evaluates F^2 Ric over every sample's stencil
 points in one batch, then assembles the samples in order.
 """
@@ -30,7 +31,7 @@ import numpy as np
 
 from .core import _Report, boundary_room, positive_finite, unit_scaled
 from .diffengine import (Dual2, central_d1, d1_combine, d1_points, fundamental_tensor,
-                         hessian_combine, hessian_points)
+                         hessian_combine, hessian_offsets, hessian_points)
 from .errors import AccuracyError, DomainError, NotProjectiveError
 from .geodesics import spray_batch, spray_vector
 
@@ -196,7 +197,7 @@ def _ricci_tensors(metric, samples):
     X = np.array([x for x, _ in elements])
     Ys = unit_scaled(np.array([y for _, y in elements]))[0]
     h = TENSOR_STEP * np.abs(Ys).max(axis=1)
-    K = 1 + 4 * metric.dimension ** 2  # stencil points per sample
+    K = len(hessian_offsets(metric.dimension))  # stencil points per sample
     X, Y = np.repeat(X, K, axis=0), hessian_points(Ys, h)
 
     def hessians(k0, k1):

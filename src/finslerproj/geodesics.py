@@ -20,7 +20,7 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.linalg.blas import dgemv
 
-from .core import BOUNDARY_MARGIN, boundary_room
+from .core import BOUNDARY_MARGIN, boundary_room, unit_scaled
 from .diffengine import central_d1, fundamental_tensor
 from .errors import (ConnectivityError, ConvexityError, DomainError,
                      StiffnessError)
@@ -368,12 +368,11 @@ def _solve_leg(metric, z0, s_end, rtol, atol, margin, escape_as_truncation=False
 
 
 def _unit_state(metric, x0, y0):
-    """The validated start (x0, y0 / F(x0, y0)) of a unit-speed geodesic."""
+    """The validated start (x0, y0 / F(x0, y0)) of a unit-speed geodesic,
+    formed at y0 scaled into [1/2, 1): y0's scale alone never over- or underflows F."""
     x0, y0 = metric.check_line_element(x0, y0)
-    v = y0 / metric.norm(x0, y0)
-    if not np.all(np.isfinite(v)):  # F underflowed to 0 or overflowed
-        raise DomainError(f"{metric.name}: y0={y0.tolist()} cannot be scaled to unit speed")
-    return np.concatenate([x0, v])
+    y0 = unit_scaled(y0)[0]
+    return np.concatenate([x0, y0 / metric.norm(x0, y0)])
 
 
 def integrate_geodesic(metric, x0, y0, length, *, tol=1e-11) -> GeodesicSegment:
@@ -431,19 +430,24 @@ def _chord_length(metric, x, y, samples=64):
 
 
 def _closest_approach(segment, target):
+    """(s, |x(s) - target|) at the segment's closest approach to target: the
+    root (found to roundoff, unlike the flat minimum of the squared distance)
+    of <x(s) - target, x'(s)> next to the closest of 65 samples, else that sample."""
     ss = np.linspace(segment.s_min, segment.s_max, 65)
     dists = np.linalg.norm(segment.positions(ss) - target, axis=1)
     i = int(np.argmin(dists))
-    lo = ss[max(0, i - 1)]
-    hi = ss[min(len(ss) - 1, i + 1)]
-    # the squared distance is a smooth parabola through the approach point
-    res = optimize.minimize_scalar(
-        lambda s: float(np.sum((segment.position(s) - target) ** 2)),
-        bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-14, "maxiter": 300})
-    fun = math.sqrt(max(res.fun, 0.0))
-    if fun <= dists[i]:
-        return float(res.x), fun
+
+    def slope(s):
+        x, v = np.split(segment.state(s), 2)
+        return float((x - target) @ v)
+
+    for a, b in ((i - 1, i), (i, i + 1)):
+        if a >= 0 and b < len(ss) and slope(ss[a]) <= 0.0 <= slope(ss[b]):
+            s = optimize.brentq(slope, ss[a], ss[b], xtol=4 * _EPS, rtol=4 * _EPS)
+            miss = float(np.linalg.norm(segment.position(s) - target))
+            if miss <= dists[i]:
+                return float(s), miss
+            break
     return float(ss[i]), float(dists[i])
 
 

@@ -326,6 +326,8 @@ def interval_funk_eval(u, y, k=1.0) -> float:
     its distance has the closed form in the distance module."""
     if not abs(u) < 1.0:
         raise DomainError(f"interval-funk: u={u} outside (-1, 1)")
+    if not math.isfinite(y):
+        raise DomainError("interval-funk: vector has non-finite components")
     if y == 0.0:
         raise DomainError("interval-funk: metric evaluation needs a nonzero vector")
     k = positive_finite(k, "the Funk constant k")

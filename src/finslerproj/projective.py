@@ -1,6 +1,9 @@
 """Schwarzian derivative, Moebius-group utilities, and the projective
 normal parameter of a geodesic.
 
+`schwarzian` differentiates through a Taylor jet only; `schwarzian_fd` is
+the explicit stencil for black-box callables.
+
 The parameter pi solves {pi, s} = q with q = 2 Ric / (n - 1) along a
 unit-speed geodesic. The third-order Schwarzian equation is never solved
 directly: with w'' + q w / 2 = 0 and basis solutions w1(s0)=0, w1'(s0)=1,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from finslerproj import curvature
+from finslerproj import curvature, geodesics
 from finslerproj.curvature import (check_ricci_bound, curvature_matrix,
                                    projective_factor, ricci_scalar,
                                    ricci_scalar_batch, ricci_tensor,
@@ -17,6 +17,8 @@ from finslerproj.geodesics import spray_batch, spray_vector
 from finslerproj.metrics import (EuclideanMetric, QuadraticDomainSpec, RandersSpec,
                                  RiemannianMetric, RiemannianSpec, funk_ball,
                                  funk_from_quadratic, klein_metric, randers_metric)
+
+from test_diffengine import stripped
 
 
 def riemann_ricci_oracle(g_fn, x, h=1e-4):
@@ -320,6 +322,38 @@ class TestRicciTensor:
                 ratios.append(np.trace(data.ric_tensor) / np.trace(g))
             assert max(ratios) - min(ratios) <= 1e-3
             assert ratios[0] == pytest.approx(expected, abs=1e-3)
+
+
+    def test_tensors_and_unit_start_at_power_of_two_scales(self):
+        # the 0-homogeneous y-quantities run at y scaled into [1/2, 1), so
+        # each is the same float at 2^k y as at y, far past the scales where
+        # F^2 over- or underflows
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        metrics = {"klein2": klein_metric(2), "klein3": klein_metric(3),
+                   "funk-ball2": funk_ball(2), "blackbox-klein2": blackbox_klein(2)}
+        side = st.floats(0.125, 8.0) | st.floats(-8.0, -0.125)
+
+        def values(metric, x, y):
+            data = ricci_tensor(metric, x, y)
+            routes = [metric] + ([stripped(metric, True), stripped(metric, False)]
+                                 if metric.metric_tensor(x, y) is not None
+                                 and metric.supports_jets else [])
+            tensors = [fundamental_tensor(m, x, y) for m in routes]
+            return [hexes(v.ravel()) for v in [data.ric_tensor, data.ell, *tensors,
+                                               geodesics._unit_state(metric, x, y)]]
+
+        @hypothesis.settings(max_examples=40, derandomize=True, deadline=None,
+                             database=None)
+        @hypothesis.given(st.sampled_from(sorted(metrics)), st.integers(-1000, 1000),
+                          st.integers(0, 2 ** 32 - 1), st.lists(side, min_size=3, max_size=3))
+        def check(name, k, seed, y):
+            metric = metrics[name]
+            x = metric.random_interior_point(np.random.default_rng(seed))
+            y = np.array(y[:metric.dimension])
+            assert values(metric, x, np.ldexp(y, k)) == values(metric, x, y)
+
+        check()
 
 
 class TestCurvatureMatrix:

@@ -258,9 +258,9 @@ class TestPseudoDistance:
 
     @pytest.mark.parametrize("make, x, y, canonical, geodesic", [
         (lambda: klein_metric(2), [0.1, 0.2], [-0.3, 0.4],
-         "0x1.3a616c4b898dbp-1", "0x1.fbbae56977c62p-2"),
+         "0x1.3a616c4bf1e97p-1", "0x1.fbbae56a06d88p-2"),
         (lambda: funk_ball(3), [0.1, 0.2, 0.0], [-0.3, 0.4, 0.0],
-         "0x1.69e67a5a436cap-2", "0x1.3a616c6650078p-1"),
+         "0x1.69e67a3802cf0p-2", "0x1.3a616c4beb124p-1"),
     ])
     def test_pinned_values(self, make, x, y, canonical, geodesic):
         # float.hex values frozen from the closed forms on floats; the Klein pair

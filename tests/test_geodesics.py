@@ -366,10 +366,12 @@ class TestConnect:
         with pytest.raises(ConnectivityError):
             connect(klein2, [0.2, 0.1], [0.2, 0.1])
 
-    def test_unmet_tolerance_reports_best_miss(self, klein2):
+    def test_unmet_tolerance_reports_best_miss(self):
+        # chords are not geodesics here, and two evaluations per solve
+        # leave the shot short of the target
         with pytest.raises(ConnectivityError) as info:
-            connect(klein2, [0.1, 0.2], [-0.3, 0.4], tol=1e-300, max_nfev=2)
-        assert info.value.best_miss == pytest.approx(2.5e-11, rel=0.01)
+            connect(poincare_disk(), [0.3, 0.1], [-0.2, 0.4], tol=1e-300, max_nfev=2)
+        assert info.value.best_miss == pytest.approx(4.94e-5, rel=0.01)
 
     def test_klein_generic_pairs_against_closed_form(self, klein2, rng):
         for _ in range(6):
