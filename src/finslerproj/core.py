@@ -46,7 +46,7 @@ class FinslerMetric:
             except ZeroDivisionError:  # the closed form's own phi rounded to 0
                 raise DomainError(f"{self.name}: x={x.tolist()} is on the boundary") from None
         if not math.isfinite(f):
-            raise self._not_finite(x, y)
+            raise DomainError(f"{self.name}: F is not finite at x={x.tolist()}, y={y.tolist()}")
         return f
 
     def norm_batch(self, X, Y) -> np.ndarray:
@@ -68,11 +68,8 @@ class FinslerMetric:
         finite = np.isfinite(F)
         if not finite.all():
             bad = int(np.argmin(finite))
-            raise self._not_finite(X[bad], Y[bad])
+            self.norm(X[bad], Y[bad])  # raises norm's non-finite-F error
         return F
-
-    def _not_finite(self, x, y):
-        return DomainError(f"{self.name}: F is not finite at x={x.tolist()}, y={y.tolist()}")
 
     def _norm_rows(self, X, Y) -> np.ndarray:
         """norm_batch's values on (N, n) float stacks whose rows

@@ -17,7 +17,9 @@ over a jet-safe norm, then the y-Hessian stencil over a black-box one.
 
 from __future__ import annotations
 
+import functools
 import math
+
 import numpy as np
 
 from .core import unit_scaled
@@ -346,6 +348,7 @@ def central_d1(fn, v, i, h):
     return d1_combine([np.asarray(fn(p)) for p in d1_points(v, i, h)], h)
 
 
+@functools.cache  # a tuple, so every caller shares one immutable layout
 def hessian_offsets(n):
     """Integer offsets, in steps of h, of the y-Hessian stencil: the centre,
     +-1 and +-2 along each axis, and the four diagonal corners at scales 1
@@ -359,7 +362,7 @@ def hessian_offsets(n):
                 for a, b in ((k, k), (-k, -k), (k, -k), (-k, k)):
                     offsets.append(tuple(a if m == i else (b if m == j else 0)
                                          for m in range(n)))
-    return offsets
+    return tuple(offsets)
 
 
 def hessian_points(Y, h):

@@ -438,8 +438,8 @@ def _closest_approach(segment, target):
     i = int(np.argmin(dists))
 
     def slope(s):
-        x, v = np.split(segment.state(s), 2)
-        return float((x - target) @ v)
+        z = segment.state(s)
+        return float((z[:len(target)] - target) @ z[len(target):])
 
     for a, b in ((i - 1, i), (i, i + 1)):
         if a >= 0 and b < len(ss) and slope(ss[a]) <= 0.0 <= slope(ss[b]):
@@ -447,7 +447,6 @@ def _closest_approach(segment, target):
             miss = float(np.linalg.norm(segment.position(s) - target))
             if miss <= dists[i]:
                 return float(s), miss
-            break
     return float(ss[i]), float(dists[i])
 
 
