@@ -21,16 +21,18 @@ class FinslerMetric:
     coordinate entries so that jets can flow through it, and may attach
     analytic providers for the fundamental tensor and the spray. Instances
     are immutable after construction and safe to share between threads.
+
+    `closed_form` marks `_norm_impl` and `_spray_impl` as the library's own
+    arithmetic, which takes floats, (N,) columns and jets alike. A black-box
+    metric's norm gets float arrays row by row, and its spray comes from
+    `spray_vector` or else from stencils of its tensor (formal Christoffels).
     """
 
     dimension: int
     domain_scale: float = 1.0   # the gamma entering the boundary-margin rule
     supports_jets: bool = True
-    spray_supports_jets: bool = False
+    closed_form: bool = False
     name: str = "finsler"
-    # True only where `_norm_impl` is the library's own arithmetic, which also
-    # takes lists of floats or (N,) arrays; user providers get float arrays
-    _norm_takes_columns: bool = False
 
     # -- evaluation ------------------------------------------------------
 
@@ -38,13 +40,14 @@ class FinslerMetric:
         """F(x, y), validated: x inside the domain, y nonzero, F finite. Shipped
         closed forms run on Python floats, bit for bit their values on arrays."""
         x, y = self.check_line_element(x, y)
-        if not self._norm_takes_columns:
+        if not self.closed_form:
             f = float(self._norm_impl(x, y))
         else:
             try:
                 f = float(self._norm_impl(x.tolist(), y.tolist()))
-            except ZeroDivisionError:  # the closed form's own phi rounded to 0
-                raise DomainError(f"{self.name}: x={x.tolist()} is on the boundary") from None
+            except ZeroDivisionError:  # the closed form divided by a value that rounded to 0
+                raise DomainError(f"{self.name}: x={x.tolist()} is on the boundary, or "
+                                  f"y={y.tolist()} is too small for the closed form") from None
         if not math.isfinite(f):
             raise DomainError(f"{self.name}: F is not finite at x={x.tolist()}, y={y.tolist()}")
         return f
@@ -74,7 +77,7 @@ class FinslerMetric:
     def _norm_rows(self, X, Y) -> np.ndarray:
         """norm_batch's values on (N, n) float stacks whose rows
         valid_line_elements accepts, without validating them again."""
-        if not self._norm_takes_columns:
+        if not self.closed_form:
             return np.array([float(self._norm_impl(x, y)) for x, y in zip(X, Y)], dtype=float)
         values = self._norm_impl(list(X.T), list(Y.T))
         return np.broadcast_to(np.asarray(values, dtype=float), (len(X),)).copy()
@@ -137,9 +140,9 @@ class FinslerMetric:
         return None
 
     def spray_vector(self, x, y):
-        """Analytic spray coefficients, or None. Where `spray_supports_jets`, the
-        closed form `_spray_impl` on floats, NaN where it divides by 0."""
-        if not self.spray_supports_jets:
+        """Analytic spray coefficients, or None. Where `closed_form`, the closed
+        form `_spray_impl` on floats, NaN where it divides by 0."""
+        if not self.closed_form:
             return None
         y = np.asarray(y, dtype=float)
         try:
@@ -148,7 +151,7 @@ class FinslerMetric:
             return np.full(y.shape, np.nan)
 
     def _spray_impl(self, x, y):
-        """Jet-safe spray as a component list; only when spray_supports_jets."""
+        """Jet-safe spray as a component list; only when closed_form."""
         raise NotImplementedError
 
     # -- sampling (used by validators, tests, the CLI) ----------------------

@@ -11,7 +11,7 @@ constant-curvature metrics. A jet-capable spray is called once, in
 second-order forward mode (`Dual2`) over the 2n variables y, x with (N,)
 values, so a whole stack of line elements costs one spray evaluation
 (`ricci_scalar_batch`); a black-box spray costs one `spray_batch` call, by
-nested stencils. For a Riemannian tensor without Christoffels the spray's
+nested stencils. For a Riemannian tensor without an analytic spray the spray's
 x-data (the tensor and its x-derivatives) does not depend on y: it is
 computed once per stencil point.
 
@@ -30,14 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _Report, boundary_room, positive_finite, unit_scaled
-from .diffengine import (Dual2, central_d1, d1_combine, d1_points, fundamental_tensor,
+from .diffengine import (Dual2, fundamental_tensor, gradient_combine, gradient_points,
                          hessian_combine, hessian_offsets, hessian_points)
 from .errors import AccuracyError, DomainError, NotProjectiveError
 from .geodesics import spray_batch, spray_vector
 
 
 # ======================================================================
-# finite-difference steps (the stencil is diffengine.central_d1)
+# finite-difference steps (the stencil is diffengine.gradient_points)
 # ======================================================================
 
 def _scale(v):
@@ -81,21 +81,9 @@ def _spray_terms_jets(metric, X, Y):
     return (g0, tr_gx) + tuple(np.ascontiguousarray(v) for v in (gy, sx, sy))
 
 
-def _stencil(V, h):
-    """d1_points of the (P, n) stack V, steps h (P,), along each axis in turn."""
-    return np.concatenate([np.concatenate(d1_points(V, i, h)) for i in range(V.shape[1])])
-
-
 def _tiled(V, n):
-    """The (P, n) stack V repeated in the layout of _stencil."""
+    """The (P, n) stack V repeated in the layout of gradient_points."""
     return np.tile(V, (4 * n, 1))
-
-
-def _derivatives(F, h):
-    """(P, ..., n) derivatives from the values F at _stencil(V, h)'s points."""
-    F = F.reshape((-1, 4, len(h)) + F.shape[1:])
-    h = h.reshape(h.shape + (1,) * (F.ndim - 3))
-    return np.stack([d1_combine(Fj, h) for Fj in F], axis=-1)
 
 
 def _spray_terms_stencil(metric, X, Y):
@@ -106,16 +94,17 @@ def _spray_terms_stencil(metric, X, Y):
     hx, Hx = np.array([_x_steps(metric, x) for x in X], dtype=float).T
     hy, Hy = 1e-5 * np.abs(Y).max(axis=1), 1e-3 * np.abs(Y).max(axis=1)  # _yscale per row
     # points of the Sx and Sy stencils, where S(xx, yy) = sum_i dG^i/dy^i
-    SX = np.concatenate([_stencil(X, Hx), _tiled(X, n)])
-    SY = np.concatenate([_tiled(Y, n), _stencil(Y, Hy)])
+    SX = np.concatenate([gradient_points(X, Hx), _tiled(X, n)])
+    SY = np.concatenate([_tiled(Y, n), gradient_points(Y, Hy)])
     hS = 1e-4 * np.abs(SY).max(axis=1)
-    XX = [X, _stencil(X, hx), _tiled(X, n), _tiled(SX, n)]
-    YY = [Y, _tiled(Y, n), _stencil(Y, hy), _stencil(SY, hS)]
+    XX = [X, gradient_points(X, hx), _tiled(X, n), _tiled(SX, n)]
+    YY = [Y, _tiled(Y, n), gradient_points(Y, hy), gradient_points(SY, hS)]
     G0, Gx, Gy, GS = np.split(spray_batch(metric, np.concatenate(XX), np.concatenate(YY)),
                               np.cumsum([len(v) for v in XX])[:-1])
-    Gx, Gy, GS = _derivatives(Gx, hx), _derivatives(Gy, hy), _derivatives(GS, hS)
+    Gx, Gy, GS = (gradient_combine(Gx, hx), gradient_combine(Gy, hy),
+                  gradient_combine(GS, hS))
     S = sum(GS[:, i, i] for i in range(n))
-    Sx, Sy = _derivatives(S[:len(SX) // 2], Hx), _derivatives(S[len(SX) // 2:], Hy)
+    Sx, Sy = gradient_combine(S[:len(SX) // 2], Hx), gradient_combine(S[len(SX) // 2:], Hy)
     return G0, np.trace(Gx, axis1=1, axis2=2), Gy, Sx, Sy
 
 
@@ -131,7 +120,7 @@ def _ricci_and_energy(metric, X, Y):
     f2 = F * F  # correctly rounded, so F^2 is exact under the power-of-two scaling
     if not len(X):
         return f2, f2
-    route = _spray_terms_jets if metric.spray_supports_jets else _spray_terms_stencil
+    route = _spray_terms_jets if metric.closed_form else _spray_terms_stencil
     G, tr_gx, Gy, Sx, Sy = route(metric, X, Y)
     # stacked matmuls rather than elementwise sums: each element's products
     # then sum exactly as the 2-D trace and dot products of one element do
@@ -254,13 +243,13 @@ def curvature_matrix(metric, x, y) -> np.ndarray:
     X, Y = x[None], y[None]
     hT, hX = np.array([1e-3 * _yscale(y)]), np.array([H])
     # dG^i/dy^j at (x, y) and at the y- and x-stencil points of T = (dG^i/dy^j) / F
-    TX = np.concatenate([X, _tiled(X, n), _stencil(X, hX)])
-    TY = np.concatenate([Y, _stencil(Y, hT), _tiled(Y, n)])
+    TX = np.concatenate([X, _tiled(X, n), gradient_points(X, hX)])
+    TY = np.concatenate([Y, gradient_points(Y, hT), _tiled(Y, n)])
     hy = np.full(len(TY), 1e-4 * _yscale(y))
-    Gy = _derivatives(spray_batch(metric, _tiled(TX, n), _stencil(TY, hy)), hy)
+    Gy = gradient_combine(spray_batch(metric, _tiled(TX, n), gradient_points(TY, hy)), hy)
     N0 = 0.5 * Gy[0]
     T = Gy[1:] / metric.norm_batch(TX[1:], TY[1:])[:, None, None]
-    Ty, dT = _derivatives(T[:4 * n], hT)[0], _derivatives(T[4 * n:], hX)[0]
+    Ty, dT = gradient_combine(T[:4 * n], hT)[0], gradient_combine(T[4 * n:], hX)[0]
     delta = []
     for k in range(n):
         dTk = dT[..., k]
@@ -381,10 +370,11 @@ def verify_ric_transformation(metric_a, metric_b, x, y) -> float:
         return float(delta @ yy / (yy @ yy))
 
     projective_factor(metric_a, metric_b, x, y)  # validates relatedness
-    hx = 1e-4 * _scale(x)
-    hy = 1e-4 * _yscale(y)
-    px = np.array([central_d1(lambda xx: p_field(xx, y), x, j, hx) for j in range(n)])
-    py = np.array([central_d1(lambda yy: p_field(x, yy), y, j, hy) for j in range(n)])
+    hx, hy = np.array([1e-4 * _scale(x)]), np.array([1e-4 * _yscale(y)])
+    px = gradient_combine(np.array([p_field(v, y) for v in gradient_points(x[None], hx)]),
+                          hx)[0]
+    py = gradient_combine(np.array([p_field(x, v) for v in gradient_points(y[None], hy)]),
+                          hy)[0]
     p0 = p_field(x, y)
     ga = spray_vector(metric_a, x, y)
     lhs = weighted_ricci(metric_b, x, y) - weighted_ricci(metric_a, x, y)

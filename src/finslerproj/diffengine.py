@@ -7,9 +7,9 @@ roundoff (Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008), N
 points of a batch at once where the value is an (N,) array; `jet_where`
 selects per point where a closed form branches.
 
-`d1_points` and `d1_combine` (one 5-point stencil) take first derivatives,
-and `hessian_points` and `hessian_combine` the one y-Hessian stencil, of
-whole stacks at caller-given steps. `fundamental_tensor`, g_ij =
+`gradient_points` and `gradient_combine` (one 5-point stencil) take first
+derivatives, and `hessian_points` and `hessian_combine` the one y-Hessian
+stencil, of whole stacks at caller-given steps. `fundamental_tensor`, g_ij =
 (F^2/2)_{y^i y^j} at y scaled into [1/2, 1), is the Hessian the geometry is
 built from: an analytic provider answers first, then one second-order pass
 over a jet-safe norm, then the y-Hessian stencil over a black-box one.
@@ -328,24 +328,31 @@ def jet_where(cond, a, b):
     return np.where(cond, a, b)
 
 
-def d1_points(v, i, h):
-    """v - 2e, v - e, v + e, v + 2e with e = h along coordinate i, for one point
-    v and a float h, or an (N, n) stack v and (N,) steps h."""
-    e = np.zeros(np.shape(v))
-    e[..., i] = h
-    return v - 2 * e, v - e, v + e, v + 2 * e
+@functools.cache
+def gradient_offsets(n):
+    """Offsets, in steps of h, of the first-derivative stencil: -2, -1, +1, +2
+    along each axis in turn, as a read-only (4 n, n) array."""
+    O = np.kron(np.eye(n), np.array([[-2.0], [-1.0], [1.0], [2.0]]))
+    O.flags.writeable = False
+    return O
 
 
-def d1_combine(values, h):
-    """O(h^4) first derivative from the values at the four d1_points."""
-    fm2, fm1, fp1, fp2 = values
-    return (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
+def gradient_points(V, h):
+    """The points v + h o of gradient_offsets for every row v of the (P, n)
+    stack V, steps h (P,): a (4 n P, n) stack, offset by offset, each over
+    all P rows."""
+    O = gradient_offsets(V.shape[1])
+    return (V[None] + O[:, None, :] * h[None, :, None]).reshape(-1, V.shape[1])
 
 
-def central_d1(fn, v, i, h):
-    """5-point O(h^4) central first derivative of fn (scalar- or array-valued)
-    along coordinate i of v; the one stencil of the spray and curvature routes."""
-    return d1_combine([np.asarray(fn(p)) for p in d1_points(v, i, h)], h)
+def gradient_combine(F, h):
+    """(P, ..., n) first derivatives, O(h^4), from the values F at
+    gradient_points(V, h): exact on polynomials of degree 4. The result is
+    C-contiguous, so later sums over it run in one fixed order."""
+    F = F.reshape((-1, 4, len(h)) + F.shape[1:])
+    h = h.reshape(h.shape + (1,) * (F.ndim - 3))
+    d = (F[:, 0] - 8 * F[:, 1] + 8 * F[:, 2] - F[:, 3]) / (12 * h)
+    return np.ascontiguousarray(np.moveaxis(d, 0, -1))
 
 
 @functools.cache  # a tuple, so every caller shares one immutable layout

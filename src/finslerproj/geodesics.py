@@ -21,7 +21,7 @@ from scipy import integrate, optimize
 from scipy.linalg.blas import dgemv
 
 from .core import BOUNDARY_MARGIN, boundary_room, unit_scaled
-from .diffengine import central_d1, fundamental_tensor
+from .diffengine import fundamental_tensor, gradient_combine, gradient_points
 from .errors import (ConnectivityError, ConvexityError, DomainError,
                      StiffnessError)
 from .metrics import RiemannianMetric
@@ -38,54 +38,45 @@ EXTENSION_MARGIN = 1e-12
 
 def _spray_xdata(metric, x, y):
     """x-data of the formal-Christoffel route: the tensor g0 at x and its
-    x-derivatives dg[a, b, k] = d g_ab / d x^k, by the one stencil."""
-    n = metric.dimension
-
+    x-derivatives dg[a, b, k] = d g_ab / d x^k, by the one gradient stencil."""
     def g_from(xx, ga):
         if ga is None:
             return fundamental_tensor(metric, xx, y)
         ga = np.asarray(ga, dtype=float)
         return 0.5 * (ga + ga.T)
 
-    def g_at(xx):
-        return g_from(xx, metric.metric_tensor(xx, y))
-
     analytic = metric.metric_tensor(x, y)  # read once: it is also g at x
     h = (1e-5 if analytic is not None else 1e-3) * max(1.0, float(np.abs(x).max()))
-    h = min(h, 0.25 * boundary_room(metric, x))  # keep the stencil inside the domain
-    if h <= 0:
+    h = np.array([min(h, 0.25 * boundary_room(metric, x))])  # keep the stencil inside the domain
+    if h[0] <= 0:
         raise DomainError("spray stencil cannot stay inside the domain")
-
-    g0 = g_from(x, analytic)
-    dg = np.empty((n, n, n))
-    for k in range(n):
-        dg[:, :, k] = central_d1(g_at, x, k, h)
-    return g0, dg
-
-
-def _solve(x, g, rhs):
-    """np.linalg.solve(g, rhs) for the tensor g at x; singular is a ConvexityError."""
-    try:
-        return np.linalg.solve(g, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ConvexityError(f"singular fundamental tensor at x={x.tolist()}") from exc
+    G = np.array([g_from(p, metric.metric_tensor(p, y)) for p in gradient_points(x[None], h)])
+    return g_from(x, analytic), gradient_combine(G, h)[0]
 
 
 def _contract(x, g0, dg, ys):
     """Formal-Christoffel route at x for the (m, n) stack ys, from the x-data g0, dg:
-    G^i = g^{is}(dg_sj/dx^k - dg_jk/dx^s / 2) y^j y^k, in one stacked solve."""
+    G^i = g^{is}(dg_sj/dx^k - dg_jk/dx^s / 2) y^j y^k, in one stacked solve; a
+    singular g0 is a ConvexityError."""
     rhs = (np.einsum("sjk,mj,mk->ms", dg, ys, ys)
            - 0.5 * np.einsum("jks,mj,mk->ms", dg, ys, ys))[:, :, None]
-    return _solve(x, np.broadcast_to(g0, (len(ys),) + g0.shape), rhs)[:, :, 0]
+    try:
+        return np.linalg.solve(np.broadcast_to(g0, (len(ys),) + g0.shape), rhs)[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise ConvexityError(f"singular fundamental tensor at x={x.tolist()}") from exc
 
 
-def _spray_from_tensor(metric, x, y):
-    return _contract(x, *_spray_xdata(metric, x, y), y[None])[0]
+def _spray_rows(metric, x, ys):
+    """Sprays at the point x for the (m, n) stack ys, unvalidated: the metric's
+    own spray row by row, else one stacked solve on the x-data at (x, ys[0])."""
+    g = metric.spray_vector(x, ys[0])
+    if g is None:
+        return _contract(x, *_spray_xdata(metric, x, ys[0]), ys)
+    return np.array([g] + [metric.spray_vector(x, y) for y in ys[1:]], dtype=float)
 
 
 def _spray(metric, x, y):
-    g = metric.spray_vector(x, y)
-    return _spray_from_tensor(metric, x, y) if g is None else np.asarray(g, dtype=float)
+    return _spray_rows(metric, x, y[None])[0]
 
 
 def spray_vector(metric, x, y) -> np.ndarray:
@@ -94,27 +85,29 @@ def spray_vector(metric, x, y) -> np.ndarray:
 
 
 def spray_batch(metric, X, Y) -> np.ndarray:
-    """Sprays at the (N, n) stacks X, Y, row k with the bits of spray_vector. A
-    RiemannianMetric's tensor ignores y, so each distinct x (by its bytes) is
-    validated, probed for an analytic spray and, without one, builds its x-data
-    once for one stacked solve over all its y's. Other metrics go row by row."""
+    """Sprays at the (N, n) stacks X, Y, row k with the bits of spray_vector.
+    Rows are grouped by the bytes of x for a RiemannianMetric, whose tensor
+    ignores y, and by the bytes of (x, y) for any other metric. The whole
+    stack is validated first, each group's x against the domain once, and the
+    first invalid row raises its own check_line_element error. Each group then
+    takes one _spray_rows call."""
     X = np.ascontiguousarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    # other metrics, or a non-finite or zero y: row by row, the first bad row raising
-    if not (isinstance(metric, RiemannianMetric) and np.isfinite(Y).all() and Y.any(1).all()):
-        return np.array([spray_vector(metric, x, y) for x, y in zip(X, Y)],
-                        dtype=float).reshape(Y.shape)
-    keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+    riemannian = isinstance(metric, RiemannianMetric)
+    keys = X if riemannian else np.concatenate([X, Y], axis=1)
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    finite = np.isfinite(X).all(axis=1)
+    inside = np.array([finite[k] and metric.domain_value(X[k]) > 0.0 for k in first], dtype=bool)
+    size = np.abs(Y).max(axis=1)
+    valid = inside[inverse] & np.isfinite(size) & (size != 0.0)
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        metric.check_line_element(X[bad], Y[bad])
     out = np.empty_like(Y)
-    for group in np.argsort(first):  # distinct points in order of appearance
-        rows = np.flatnonzero(inverse.ravel() == group)
-        x, ys = metric.check_point(X[rows[0]]), Y[rows]
-        g = metric.spray_vector(x, ys[0])
-        if g is not None:
-            out[rows] = [g] + [metric.spray_vector(x, y) for y in ys[1:]]
-            continue
-        out[rows] = _contract(x, *_spray_xdata(metric, x, ys[0]), ys)
+    for group in np.argsort(first):  # distinct keys in order of appearance
+        rows = np.flatnonzero(inverse == group)
+        out[rows] = _spray_rows(metric, X[rows[0]], Y[rows if riemannian else rows[:1]])
     return out
 
 
@@ -175,12 +168,11 @@ class GeodesicSegment:
     """
 
     def __init__(self, metric, anchor_state, forward=None, backward=None,
-                 requested=(0.0, 0.0), truncated=(False, False)):
+                 truncated=(False, False)):
         self.metric = metric
         self._anchor = np.asarray(anchor_state, dtype=float)
         self._forward = forward
         self._backward = backward
-        self.requested_backward, self.requested_forward = requested
         self.truncated_backward, self.truncated_forward = truncated
         self.s_min = backward.t[-1] if backward is not None else 0.0
         self.s_max = forward.t[-1] if forward is not None else 0.0
@@ -254,7 +246,7 @@ class GeodesicSegment:
         dense output; the state at s_end becomes the last sample."""
         s_end, fwd = float(s_end), self._forward
         keep = sum(s < s_end for s in fwd.t)
-        return GeodesicSegment(self.metric, self._anchor, requested=(0.0, s_end), forward=_Leg(
+        return GeodesicSegment(self.metric, self._anchor, forward=_Leg(
             1.0, fwd.t[:keep] + [s_end], fwd.y[:keep] + [fwd.at(s_end)], fwd._steps, fwd.counts))
 
     def unit_speed_drift(self) -> float:
@@ -275,7 +267,7 @@ def _solve_leg(metric, z0, s_end, rtol, atol, margin, escape_as_truncation=False
     n, m = metric.dimension, len(z0)
     counts = [0, 0, 0]  # accepted steps, rejected steps, right-hand-side calls
     # the float closed form, or views of one state array, as the spray always saw
-    spray = metric._spray_impl if metric.spray_supports_jets else (
+    spray = metric._spray_impl if metric.closed_form else (
         lambda x, v: _spray(metric, *np.split(np.array(x + v), 2)).tolist())
 
     def fun(z):
@@ -388,8 +380,7 @@ def integrate_geodesic(metric, x0, y0, length, *, tol=1e-11) -> GeodesicSegment:
     if length == 0.0:
         return GeodesicSegment(metric, z0)
     sol, truncated = _solve_leg(metric, z0, float(length), tol, tol * 1e-1, BOUNDARY_MARGIN)
-    return GeodesicSegment(metric, z0, forward=sol,
-                           requested=(0.0, float(length)), truncated=(False, truncated))
+    return GeodesicSegment(metric, z0, forward=sol, truncated=(False, truncated))
 
 
 def extend_geodesic(metric, x0, y0, *, cap=EXTENSION_CAP, tol=1e-11) -> GeodesicSegment:
@@ -402,8 +393,7 @@ def extend_geodesic(metric, x0, y0, *, cap=EXTENSION_CAP, tol=1e-11) -> Geodesic
                          escape_as_truncation=True)
     back, tb = _solve_leg(metric, z0, -float(cap), tol, tol * 1e-1, EXTENSION_MARGIN,
                           escape_as_truncation=True)
-    return GeodesicSegment(metric, z0, forward=fwd, backward=back,
-                           requested=(-float(cap), float(cap)), truncated=(tb, tf))
+    return GeodesicSegment(metric, z0, forward=fwd, backward=back, truncated=(tb, tf))
 
 
 # ======================================================================
@@ -466,7 +456,11 @@ def connect(metric, x, y, tol=1e-8, max_nfev=60) -> BVPResult:
         raise ConnectivityError("connect needs two distinct points", best_miss=0.0)
     n = metric.dimension
     chord = y - x
-    dir0 = chord / metric.norm(x, chord)
+    too_close = f"connect cannot resolve {x.tolist()} and {y.tolist()}, which are too close"
+    f0 = metric.norm(x, chord)
+    if f0 == 0.0:
+        raise ConnectivityError(f"{too_close}: F(x, y - x) is 0", best_miss=math.hypot(*chord))
+    dir0 = chord / f0
     L0 = _chord_length(metric, x, y)
     L_max = 1.5 * L0 + 0.25
 
@@ -531,6 +525,9 @@ def connect(metric, x, y, tol=1e-8, max_nfev=60) -> BVPResult:
         raise ConnectivityError(
             f"no geodesic from {x.tolist()} to {y.tolist()} within tolerance "
             f"{tol:g}", best_miss=None if best is None else best[2])
+    if best[1] == 0.0:  # the target is nearer than the closest-approach root resolves
+        raise ConnectivityError(f"{too_close}: the closest approach sits at the start",
+                                best_miss=best[2])
     segment = best[0].clipped(best[1])
     miss = float(np.linalg.norm(segment.position(segment.s_max) - y))
     return BVPResult(segment, miss, evals)

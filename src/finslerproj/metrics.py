@@ -39,8 +39,7 @@ class EuclideanMetric(FinslerMetric):
     """The flat norm |y| on all of R^n."""
 
     name = "euclidean"
-    spray_supports_jets = True
-    _norm_takes_columns = True
+    closed_form = True
 
     def __init__(self, dimension):
         if dimension < 2:
@@ -66,16 +65,14 @@ class EuclideanMetric(FinslerMetric):
 
 @dataclass(frozen=True)
 class RiemannianSpec:
-    """Riemannian data: a tensor provider and optional analytic Christoffels.
+    """Riemannian data: a tensor provider and an optional domain.
 
     metric_provider(x) -> symmetric positive-definite (n, n) array.
-    christoffel_provider(x) -> (n, n, n) array Gamma[i, j, k], optional.
     domain_provider(x) -> float, positive inside the domain, optional.
     """
 
     dimension: int
     metric_provider: Callable
-    christoffel_provider: Callable | None = None
     domain_provider: Callable | None = None
     domain_scale: float = 1.0
     name: str = "riemannian"
@@ -108,13 +105,6 @@ class RiemannianMetric(FinslerMetric):
     def metric_tensor(self, x, y):
         return np.asarray(self.spec.metric_provider(np.asarray(x, dtype=float)), dtype=float)
 
-    def spray_vector(self, x, y):
-        if self.spec.christoffel_provider is None:
-            return super().spray_vector(x, y)  # a subclass's closed form, or None
-        gamma = np.asarray(self.spec.christoffel_provider(np.asarray(x, dtype=float)))
-        y = np.asarray(y, dtype=float)
-        return np.einsum("ijk,j,k->i", gamma, y, y)
-
 
 class KleinMetric(RiemannianMetric):
     """Hyperbolic metric on the open unit ball in projective (chord) coordinates.
@@ -125,9 +115,8 @@ class KleinMetric(RiemannianMetric):
     """
 
     supports_jets = True
-    spray_supports_jets = True
+    closed_form = True
     name = "klein"
-    _norm_takes_columns = True
 
     def __init__(self, dimension):
         def g(x):
@@ -251,8 +240,7 @@ class QuadraticFunkMetric(FinslerMetric):
     """
 
     name = "quadratic-funk"
-    spray_supports_jets = True
-    _norm_takes_columns = True
+    closed_form = True
 
     def __init__(self, spec: QuadraticDomainSpec):
         self.spec = spec
@@ -390,12 +378,11 @@ class RandersMetric(FinslerMetric):
         self.spec = spec
         self.dimension = spec.dimension
         self.name = spec.name
-        self._constant = not callable(spec.a_provider) and not callable(spec.b_provider)
-        self.spray_supports_jets = self._constant
-        self._norm_takes_columns = self._constant  # providers may be float-only
+        # constant a and b only: providers may be float-only
+        self.closed_form = not callable(spec.a_provider) and not callable(spec.b_provider)
 
     def _norm_impl(self, x, y):
-        if self._constant:
+        if self.closed_form:
             a = self.spec.a_at(None)
             b = self.spec.b_at(None)
         else:

@@ -332,7 +332,7 @@ def _q_window(metric, segment, margin_fraction=1e-6, drift_limit=1e-6):
     """
     lo, hi = segment.s_min, segment.s_max
     ss = np.linspace(lo, hi, 201)
-    needs_room = metric.bounded_domain and not metric.spray_supports_jets
+    needs_room = metric.bounded_domain and not metric.closed_form
     threshold = margin_fraction * metric.domain_scale
     n = metric.dimension
     states = segment.states(ss)

@@ -319,6 +319,10 @@ class TestUnusableInput:
         (["funk", "--eval-u", "0.5", "--eval-y", "nan"], {}),
         (["funk", "--eval-u", "0.5", "--eval-y", "inf"], {}),
         (["funk", "--metric", "euclidean", "--x", "0", "0", "--y", "2e155", "0"], {}),
+        # two distinct points closer than connect resolves
+        (["geodesic", "--metric", "klein", "--x0", "0", "0", "--x1", "1e-17", "0",
+          "--connect"], {}),
+        (["pseudodist", "--metric", "klein", "--x0", "0", "0", "--x1", "1e-17", "0"], {}),
     ])
     def test_one_error_line(self, argv, files, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

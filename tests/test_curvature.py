@@ -10,12 +10,13 @@ from finslerproj.curvature import (check_ricci_bound, curvature_matrix,
                                    projective_factor, ricci_scalar,
                                    ricci_scalar_batch, ricci_tensor,
                                    verify_ric_transformation)
+from finslerproj.core import boundary_room
 from finslerproj.diffengine import fundamental_tensor, hessian_offsets
 from finslerproj.errors import (AccuracyError, ConstructionError, ConvexityError,
                                 DomainError, FinslerError, NotProjectiveError)
 from finslerproj.geodesics import spray_batch, spray_vector
-from finslerproj.metrics import (EuclideanMetric, QuadraticDomainSpec, RandersSpec,
-                                 RiemannianMetric, RiemannianSpec, funk_ball,
+from finslerproj.metrics import (EuclideanMetric, QuadraticDomainSpec, RandersMetric,
+                                 RandersSpec, RiemannianMetric, RiemannianSpec, funk_ball,
                                  funk_from_quadratic, klein_metric, randers_metric)
 
 from test_diffengine import stripped
@@ -110,7 +111,7 @@ class TestRicciScalar:
     def test_fd_fallback_path_matches_jets(self, klein2):
         # strip the jet capability to exercise the stencil pipeline
         class NoJets(type(klein2)):
-            spray_supports_jets = False
+            closed_form = False
 
         stripped = NoJets(2)
         x, y = [0.3, -0.2], [0.7, 0.4]
@@ -428,6 +429,37 @@ def radial_randers():
         name="radial-randers"))
 
 
+def tensorless_randers():
+    """radial_randers with its analytic tensor withheld: the x-data then
+    comes from fundamental_tensor's y-Hessian stencil over the norm."""
+    class Tensorless(RandersMetric):
+        def metric_tensor(self, x, y):
+            return None
+
+    return Tensorless(radial_randers().spec)
+
+
+def xdata_reference(metric, x, y):
+    """_spray_xdata by the per-axis 5-point arithmetic it replaced: g at
+    x - 2e, x - e, x + e, x + 2e along each axis, combined one axis at a time."""
+    def g_at(xx):
+        ga = metric.metric_tensor(xx, y)
+        if ga is None:
+            return fundamental_tensor(metric, xx, y)
+        return 0.5 * (np.asarray(ga, dtype=float) + np.asarray(ga, dtype=float).T)
+
+    n = metric.dimension
+    h = (1e-5 if metric.metric_tensor(x, y) is not None else 1e-3) * max(1.0, np.abs(x).max())
+    h = min(h, 0.25 * boundary_room(metric, x))
+    dg = np.empty((n, n, n))
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = h
+        fm2, fm1, fp1, fp2 = (g_at(p) for p in (x - 2 * e, x - e, x + e, x + 2 * e))
+        dg[:, :, k] = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
+    return g_at(x), dg
+
+
 def probe_ellipsoid():
     """Funk metric of a rotated ellipsoid with semi-axes 0.45, 1.0, 1.6,
     where ricci_tensor's fixed y-step misses its contraction limit."""
@@ -508,6 +540,49 @@ class TestBlackBoxRoute:
         x, y = np.array([0.3, -0.2]), np.array([0.7, 0.4])
         assert hexes(spray_batch(metric, x[None], y[None])[0]) == \
             hexes(klein_metric(2).spray_vector(x, y))
+
+    @pytest.mark.parametrize("make", [lambda: blackbox_klein(2), lambda: blackbox_klein(3),
+                                      radial_randers, lambda: tensorless_randers()])
+    def test_xdata_equals_per_axis_stencil(self, make):
+        metric = make()
+        rng = np.random.default_rng(metric.dimension)
+        for x, y in metric.random_line_elements(4, rng):
+            g0, dg = geodesics._spray_xdata(metric, x, y)
+            ref0, ref = xdata_reference(metric, x, y)
+            assert hexes(g0) == hexes(ref0) and hexes(dg) == hexes(ref)
+            assert dg.flags.c_contiguous
+
+    def test_repeated_element_builds_one_xdata(self, monkeypatch):
+        metric = radial_randers()
+        calls = []
+        xdata = geodesics._spray_xdata
+        monkeypatch.setattr(geodesics, "_spray_xdata",
+                            lambda *args: calls.append(1) or xdata(*args))
+        X = np.array([[0.2, -0.3], [0.2, -0.3], [0.1, 0.4], [0.2, -0.3]])
+        Y = np.array([[0.6, 0.8], [0.6, 0.8], [0.6, 0.8], [-1.0, 0.1]])
+        G = spray_batch(metric, X, Y)
+        assert len(calls) == 3  # one per distinct (x, y)
+        monkeypatch.setattr(geodesics, "_spray_xdata", xdata)
+        assert [hexes(g) for g in G] == [hexes(spray_vector(metric, x, y)) for x, y in zip(X, Y)]
+
+    @pytest.mark.parametrize("make, x, y, message", [
+        (lambda: blackbox_klein(2), [1.1, 0.0], [1.0, 0.0], "outside the domain"),
+        (lambda: blackbox_klein(2), [0.1, 0.0], [0.0, 0.0], "nonzero vector"),
+        (radial_randers, [0.1, 0.0], [np.nan, 0.0], "non-finite components"),
+        (radial_randers, [np.inf, 0.0], [1.0, 0.0], "non-finite coordinates"),
+    ])
+    def test_invalid_row_raises_before_any_tensor_call(self, make, x, y, message,
+                                                       monkeypatch):
+        metric, calls = make(), []
+        monkeypatch.setattr(geodesics, "_spray_xdata", lambda *args: calls.append(args))
+        # valid rows before the invalid one, and a later row invalid in another way
+        X = np.array([[0.1, 0.0], [0.2, 0.1], x, [0.3, 0.0]])
+        Y = np.array([[1.0, 0.0], [0.5, 0.5], y, [0.0, -np.inf]])
+        with pytest.raises(DomainError, match=message) as batch:
+            spray_batch(metric, X, Y)
+        with pytest.raises(DomainError) as own:
+            metric.check_line_element(X[2], Y[2])
+        assert str(batch.value) == str(own.value) and calls == []
 
     def test_shared_spray_still_validates(self):
         metric = blackbox_klein(2)

@@ -1,13 +1,15 @@
 """Jet arithmetic, second-order forward mode, the stencil, and the y-Hessian."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from finslerproj.diffengine import (Dual2, Jet, central_d1, fundamental_tensor, hessian_combine,
-                                   hessian_points, jet_where)
+from finslerproj.diffengine import (Dual2, Jet, fundamental_tensor, gradient_combine,
+                                    gradient_points, hessian_combine, hessian_points,
+                                    jet_where)
 from finslerproj.errors import AccuracyError, ConstructionError
 from finslerproj.metrics import EuclideanMetric, funk_ball, klein_metric
 
@@ -180,7 +182,14 @@ class TestNestedJets:
         assert w.hess.tolist() == [[[0.0, 0.0], [1.0, 0.0]]]
 
 
-class TestCentralD1:
+def gradient(field, v, h):
+    """(n, ...) derivatives of field at the point v by the gradient pair."""
+    h = np.array([h])
+    values = np.array([field(p) for p in gradient_points(np.asarray(v)[None], h)])
+    return np.moveaxis(gradient_combine(values, h)[0], -1, 0)
+
+
+class TestGradientStencil:
     def test_exact_on_quartic_vector_field(self):
         # the 5-point stencil's error term is h^4 f^(5), so it is exact up to
         # degree 4 whatever the step
@@ -195,13 +204,55 @@ class TestCentralD1:
                               9.0 * v[0] * v[1] ** 2]])
 
         v = np.array([0.7, -0.4])
-        for i in range(2):
-            for h in (1e-2, 1e-3):
-                assert np.abs(central_d1(field, v, i, h) - jacobian(v)[:, i]).max() < 1e-12
+        for h in (1e-2, 1e-3):
+            assert np.abs(gradient(field, v, h) - jacobian(v).T).max() < 1e-12
 
     def test_scalar_field(self):
-        d = central_d1(lambda v: float(v[0] ** 4 * v[1]), np.array([0.5, 2.0]), 0, 1e-2)
+        d = gradient(lambda v: float(v[0] ** 4 * v[1]), np.array([0.5, 2.0]), 1e-2)[0]
         assert abs(float(d) - 4.0 * 0.5 ** 3 * 2.0) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacks_exact_on_random_quartics(self, n):
+        # every row with its own step; a quartic in n variables as the sum of
+        # random coefficients times monomials of degree <= 4
+        rng = np.random.default_rng(n)
+        powers = [p for p in itertools.product(range(5), repeat=n) if sum(p) <= 4]
+        coef = rng.normal(size=len(powers))
+
+        def quartic(V):
+            return sum(c * np.prod(V ** np.array(p), axis=-1) for c, p in zip(coef, powers))
+
+        def grad(V):
+            out = np.zeros(V.shape)
+            for c, p in zip(coef, powers):
+                for i in range(n):
+                    if p[i]:
+                        q = np.array(p)
+                        q[i] -= 1
+                        out[:, i] += c * p[i] * np.prod(V ** q, axis=-1)
+            return out
+
+        for P in range(1, 6):
+            V = rng.uniform(-1.0, 1.0, (P, n))
+            h = rng.uniform(1e-3, 1e-1, P)
+            points = gradient_points(V, h)
+            assert points.shape == (4 * n * P, n)
+            D = gradient_combine(quartic(points), h)
+            assert D.shape == (P, n) and D.flags.c_contiguous
+            assert np.abs(D - grad(V)).max() <= 1e-10 * max(1.0, np.abs(grad(V)).max())
+            # array-valued fields keep their value axes ahead of the derivative axis
+            T = gradient_combine(np.stack([quartic(points), 2.0 * quartic(points)], -1), h)
+            assert T.shape == (P, 2, n) and T.flags.c_contiguous
+            assert np.array_equal(T[:, 1], 2.0 * T[:, 0])
+
+    def test_layout_is_offset_major(self):
+        V, h = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]), np.array([0.5, 0.25, 0.125])
+        points = gradient_points(V, h).reshape(2, 4, 3, 2)  # axis, offset, row, coordinate
+        for i in range(2):
+            for k, o in enumerate((-2.0, -1.0, 1.0, 2.0)):
+                expected = V.copy()
+                expected[:, i] += o * h
+                assert np.array_equal(points[i, k], expected)
 
 
 class TestFundamentalTensor:

@@ -9,7 +9,8 @@ from scipy import integrate
 from finslerproj import geodesics
 from finslerproj.core import BOUNDARY_MARGIN
 from finslerproj.diffengine import fundamental_tensor
-from finslerproj.errors import ConnectivityError, DomainError, StiffnessError
+from finslerproj.errors import (ConnectivityError, DomainError, FinslerError,
+                                StiffnessError)
 from finslerproj.geodesics import (connect, extend_geodesic, finsler_distance,
                                    integrate_geodesic, spray_vector)
 from finslerproj.metrics import (EuclideanMetric, RandersSpec, RiemannianMetric,
@@ -183,7 +184,7 @@ class TestIntegration:
     def test_stiffness_error(self):
         class Blowup(EuclideanMetric):
             name = "blowup"
-            spray_supports_jets = False
+            closed_form = False
 
             def spray_vector(self, x, y):
                 return np.array([-1.0 / (0.5 - x[0]) ** 2, 0.0])
@@ -199,9 +200,7 @@ def solve_ivp_reference(metric, x0, y0, end, margin):
     z0 = geodesics._unit_state(metric, x0, y0)
 
     def rhs(s, z):
-        g = metric.spray_vector(z[:n], z[n:])
-        g = geodesics._spray_from_tensor(metric, z[:n], z[n:]) if g is None else g
-        return np.concatenate([z[n:], -np.asarray(g, dtype=float)])
+        return np.concatenate([z[n:], -geodesics._spray(metric, z[:n], z[n:])])
 
     def boundary(s, z):
         return metric.domain_value(z[:n]) - margin * metric.domain_scale
@@ -217,7 +216,7 @@ def spray_cut_at_half(jets):
     the float closed form (jets) or the analytic provider."""
     class Cut(EuclideanMetric):
         name = "cut"
-        spray_supports_jets = jets
+        closed_form = jets
 
         def spray_vector(self, x, y):
             return np.array(self._spray_impl(x, y))
@@ -323,17 +322,18 @@ def funk_ball_distance(p, q):
 
 
 def poincare_disk():
-    """g = 4I/(1-|x|^2)^2: chords miss the geodesics except through 0."""
-    def christoffel(x):
-        ds = 2.0 * x / (1.0 - x @ x)  # gradient of the conformal exponent
-        eye = np.eye(2)
-        return (eye[:, :, None] * ds[None, None, :] + eye[:, None, :] * ds[None, :, None]
-                - eye[None, :, :] * ds[:, None, None])
+    """g = 4I/(1-|x|^2)^2 = e^(2 sigma) I: chords miss the geodesics except
+    through 0. Its spray is the conformal Gamma y y = 2 (ds.y) y - |y|^2 ds,
+    with ds = grad sigma = 2x/(1-|x|^2)."""
+    class Poincare(RiemannianMetric):
+        def spray_vector(self, x, y):
+            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+            ds = 2.0 * x / (1.0 - x @ x)
+            return 2.0 * (ds @ y) * y - (y @ y) * ds
 
-    return RiemannianMetric(RiemannianSpec(
+    return Poincare(RiemannianSpec(
         dimension=2, metric_provider=lambda x: 4.0 * np.eye(2) / (1.0 - x @ x) ** 2,
-        christoffel_provider=christoffel, domain_provider=lambda x: 1.0 - float(x @ x),
-        name="poincare"))
+        domain_provider=lambda x: 1.0 - float(x @ x), name="poincare"))
 
 
 class TestConnect:
@@ -365,6 +365,19 @@ class TestConnect:
     def test_connect_rejects_equal_points(self, klein2):
         with pytest.raises(ConnectivityError):
             connect(klein2, [0.2, 0.1], [0.2, 0.1])
+
+    @pytest.mark.parametrize("make", [lambda: EuclideanMetric(2), lambda: klein_metric(2),
+                                      lambda: funk_ball(2)])
+    @pytest.mark.parametrize("gap", [1e-17, 1e-300])
+    def test_unresolvably_close_points_raise(self, make, gap):
+        # below about 1e-16 the closest-approach root is not resolved, so a
+        # hit would sit at s = 0; at 1e-300 F(x, y - x) itself rounds to 0
+        metric = make()
+        for solve in (connect, finsler_distance):
+            with pytest.raises(FinslerError) as info:
+                solve(metric, [0.0, 0.0], [gap, 0.0])
+            if isinstance(info.value, ConnectivityError):
+                assert info.value.best_miss == pytest.approx(gap, rel=1e-12)
 
     def test_unmet_tolerance_reports_best_miss(self):
         # chords are not geodesics here, and two evaluations per solve

@@ -276,6 +276,32 @@ class TestNormBatch:
             klein2.norm_batch(X, Y)
 
 
+class TestPlacementDeterminism:
+    """`norm` and `norm_batch` of a black-box tensor give the same bits for
+    byte-identical x and y wherever the operands sit in memory."""
+
+    def test_blackbox_klein_n5(self):
+        def g(x):
+            phi = 1.0 - float(x @ x)
+            return np.eye(len(x)) / phi + np.outer(x, x) / phi ** 2
+
+        metric = RiemannianMetric(RiemannianSpec(
+            5, g, domain_provider=lambda x: 1.0 - float(x @ x), name="klein-blackbox"))
+        elements = metric.random_line_elements(30, np.random.default_rng(48))
+        X = np.array([x for x, _ in elements])
+        Y = np.array([y for _, y in elements])
+        reference = [metric.norm(x, y).hex() for x, y in elements]
+        for offset in range(8):  # in float64 steps, so every 8- to 64-byte alignment
+            buffer = np.zeros(2 * X.size + offset + 1)
+            Xo = buffer[offset:offset + X.size].reshape(X.shape)
+            Yo = buffer[offset + X.size:offset + 2 * X.size].reshape(Y.shape)
+            Xo[...], Yo[...] = X, Y
+            assert [metric.norm(x, y).hex() for x, y in zip(Xo, Yo)] == reference
+            assert [v.hex() for v in metric.norm_batch(Xo, Yo).tolist()] == reference
+            backward = metric.norm_batch(Xo[::-1], Yo[::-1])[::-1]
+            assert [v.hex() for v in backward.tolist()] == reference
+
+
 class TestShippedAxioms:
     def test_homogeneity_and_convexity(self, eucl2, klein2, ball2, randers_const, rng):
         for metric in (eucl2, klein2, ball2, randers_const):
@@ -344,3 +370,9 @@ class TestFloatClosedForms:
         loose = type("Loose", (cls,), {"domain_value": lambda self, x: 1.0})
         with pytest.raises(DomainError, match="boundary"):
             make(loose).norm([1.0, 0.0], [1.0, 0.0])
+
+    def test_zero_division_names_both_causes(self):
+        # at the centre the Funk ball's phi is 1, but F(0, y) divides 0 by 0
+        # once y y underflows
+        with pytest.raises(DomainError, match=r"boundary, or y=\[1e-300, 0.0\] is too small"):
+            funk_ball(2).norm([0.0, 0.0], [1e-300, 0.0])

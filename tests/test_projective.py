@@ -39,7 +39,7 @@ class SphereMetric(RiemannianMetric):
     constant curvature +1, so q = +2 and the parameter is tan(s)."""
 
     supports_jets = True
-    spray_supports_jets = True
+    closed_form = True
     name = "sphere"
 
     def __init__(self):
@@ -327,7 +327,7 @@ def brute_force_window(metric, segment, margin_fraction=1e-6, drift_limit=1e-6):
     lo, hi = segment.s_min, segment.s_max
     ss = np.linspace(lo, hi, 201)
     n = metric.dimension
-    needs_room = metric.bounded_domain and not metric.spray_supports_jets
+    needs_room = metric.bounded_domain and not metric.closed_form
     flags = []
     for st in segment.states(ss):
         try:
