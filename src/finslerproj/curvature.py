@@ -165,9 +165,11 @@ class CurvatureData:
         return abs(float(self.ell @ self.ric_tensor @ self.ell) - self.ric)
 
 
-# ricci_tensor's y-step, relative to max|y|, and its contraction-residual limit
+# ricci_tensor's y-step, relative to max|y|, and its contraction-residual limit;
+# check_ricci_bound's limit on the top eigenvalue of Ric + c^2 g, relative to g's scale
 TENSOR_STEP = 0.05
 CONTRACTION_LIMIT = 1e-3
+RICCI_BOUND_TOLERANCE = 1e-3
 
 
 def _ricci_tensors(metric, samples):
@@ -303,12 +305,11 @@ class RicciBoundReport(_Report):
         return max(norm) if norm else math.nan
 
 
-def check_ricci_bound(metric, samples, c, tolerance=1e-3) -> RicciBoundReport:
+def check_ricci_bound(metric, samples, c) -> RicciBoundReport:
     """Check (Ric)_ij <= -c^2 g_ij, as matrices, over sampled line elements."""
     c = positive_finite(c, "the Ricci bound constant c")
-    tolerance = positive_finite(tolerance, "the Ricci bound tolerance")
     samples = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in samples]
-    report = RicciBoundReport(c=c, tolerance=tolerance, samples=samples)
+    report = RicciBoundReport(c=c, tolerance=RICCI_BOUND_TOLERANCE, samples=samples)
     tensors = _ricci_tensors(metric, samples)
     for (x, y), data in zip(samples, tensors):
         g = fundamental_tensor(metric, x, y)

@@ -12,6 +12,7 @@ which one the measurements support.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ from .projective import MobiusTransform, ProjectiveParameter, projective_paramet
 # translated endpoints representable inside (-1, 1) and the chart round trip
 # well inside the chain-link validation tolerance
 TAU_MAX = 12.0
+SEGMENT_SAMPLES = 7  # interior points of a segment where the Ricci bound is sampled
 
 
 # ======================================================================
@@ -67,25 +69,24 @@ class ChainLink:
     """One projective map f: I -> M with its interval endpoints.
 
     f(u) is the point of the maximally extended geodesic at the parameter s
-    with pi(s) = chart(u); the chart is a Moebius map sending I into the
-    range of pi on one chart. Endpoint consistency (f(a), f(b) against the
-    stored waypoints) is validated at construction.
+    with pi(s) = chart(u). The chart is applied in stages: the swap u -> -u
+    if `swapped`, the hyperbolic translation by `tau`, then the Moebius map
+    `base` of I into the range of pi on one chart (the composed matrix loses
+    to cancellation at extreme tau what validation needs). Endpoint
+    consistency (f(a), f(b) against the stored waypoints) is validated at
+    construction.
     """
 
     geodesic: GeodesicSegment
     parameter: ProjectiveParameter
-    chart: MobiusTransform
+    base: MobiusTransform
     a: float
     b: float
     k: float
     start_point: np.ndarray
     end_point: np.ndarray
-    s_a: float = field(default=math.nan)
-    s_b: float = field(default=math.nan)
-    # optional (base, tau, swapped) factorization of the chart; evaluating the
-    # stages avoids the cancellation of the composed matrix at extreme
-    # translations and keeps the endpoint validation meaningful there
-    stages: tuple | None = None
+    tau: float = 0.0
+    swapped: bool = False
 
     def __post_init__(self):
         if not (abs(self.a) < 1.0 and abs(self.b) < 1.0):
@@ -93,44 +94,41 @@ class ChainLink:
         self.start_point = np.asarray(self.start_point, dtype=float)
         self.end_point = np.asarray(self.end_point, dtype=float)
         if self.degenerate:
-            self.s_a = self.s_b = 0.0
             return
         self._validate_chart()
         # rejected chart-search candidates mostly miss the start: check it first
-        self.s_a = self._waypoint_parameter(self.a, self.start_point)
-        self.s_b = self._waypoint_parameter(self.b, self.end_point)
-
-    def _waypoint_parameter(self, u, point) -> float:
-        s = self.parameter_of(u)
-        if np.abs(self.geodesic.position(s) - point).max() > 1e-6:
-            raise ConstructionError("chart endpoints do not reproduce the link waypoints")
-        return s
+        for u, point in ((self.a, self.start_point), (self.b, self.end_point)):
+            if np.abs(self.map_point(u) - point).max() > 1e-6:
+                raise ConstructionError("chart endpoints do not reproduce the link waypoints")
 
     @property
     def degenerate(self) -> bool:
         return self.a == self.b and np.array_equal(self.start_point, self.end_point)
 
+    @property
+    def chart(self) -> MobiusTransform:
+        """The composed chart matrix, for the pole check and the report."""
+        m = self.base.compose(MobiusTransform.translation(self.tau))
+        if self.swapped:
+            m = m.compose(MobiusTransform.swap())
+        return m
+
     def apply_chart(self, u) -> float:
-        """chart(u), through the staged pipeline when available."""
-        if self.stages is None:
-            return self.chart.apply(u)
-        base, tau, swapped = self.stages
-        uu = -u if swapped else u
-        lam = math.tanh(tau)
+        """chart(u), stage by stage."""
+        uu = -u if self.swapped else u
+        lam = math.tanh(self.tau)
         uu = (uu + lam) / (1.0 + lam * uu)
-        return base.apply(uu)
+        return self.base.apply(uu)
 
     def chart_slope(self, u) -> float:
         """d chart / du, staged like apply_chart."""
-        if self.stages is None:
-            return _mobius_derivative(self.chart, u)
-        base, tau, swapped = self.stages
-        sign = -1.0 if swapped else 1.0
+        sign = -1.0 if self.swapped else 1.0
         uu = sign * u
-        lam = math.tanh(tau)
+        lam = math.tanh(self.tau)
         t = (uu + lam) / (1.0 + lam * uu)
         dt = (1.0 - lam * lam) / (1.0 + lam * uu) ** 2
-        return _mobius_derivative(base, t) * dt * sign
+        den = self.base.c * t + self.base.d
+        return self.base.determinant / (den * den) * dt * sign
 
     def _validate_chart(self):
         lo, hi = self.parameter.chart_range(self.parameter.s0)
@@ -161,7 +159,7 @@ class ChainLink:
     @classmethod
     def degenerate_link(cls, point, k=1.0):
         point = np.asarray(point, dtype=float)
-        return cls(geodesic=None, parameter=None, chart=MobiusTransform.identity(),
+        return cls(geodesic=None, parameter=None, base=MobiusTransform.identity(),
                    a=0.0, b=0.0, k=k, start_point=point, end_point=point)
 
 
@@ -203,10 +201,10 @@ class PseudoDistanceOptions:
     budget: int = 48
     k: float = 1.0
     c: float | None = None
-    extension_cap: float = EXTENSION_CAP
-    bvp_tolerance: float = 1e-8
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (self.segments, self.budget)):
+            raise ConstructionError("subdivision depth and search budget must be integers")
         if not 1 <= self.segments <= 4:
             raise ConstructionError("subdivision depth is limited to 1..4 segments")
         if self.budget < 1:
@@ -265,53 +263,48 @@ def _canonical_chart(par: ProjectiveParameter, p_x, p_y) -> MobiusTransform:
     return MobiusTransform.interval_onto(lo, hi)
 
 
-def _chart_family_member(base: MobiusTransform, tau, swapped) -> MobiusTransform:
-    m = base.compose(MobiusTransform.translation(tau))
-    if swapped:
-        m = m.compose(MobiusTransform.swap())
-    return m
-
-
-def _golden_min(fn, lo, hi, iterations, record):
-    """Golden-section minimization; every evaluation goes through `record`."""
+def _golden_min(fn, lo, hi, iterations):
+    """Golden-section minimization of fn on [lo, hi]: every evaluation as
+    (fn(t), t), in the order made."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - (b - a) * invphi
     d = a + (b - a) * invphi
-    fc = record(fn, c)
-    fd = record(fn, d)
+    fc, fd = fn(c), fn(d)
+    evaluations = [(fc, c), (fd, d)]
     for _ in range(iterations):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * invphi
-            fc = record(fn, c)
+            fc = fn(c)
+            evaluations.append((fc, c))
         else:
             a, c, fc = c, d, fd
             d = a + (b - a) * invphi
-            fd = record(fn, d)
-    return min(fc, fd)
+            fd = fn(d)
+            evaluations.append((fd, d))
+    return evaluations
 
 
-def _line(metric, x, y, options):
-    """The geodesic from x to y, its maximal extension and its projective
-    parameter normalized at x."""
-    bvp = connect(metric, x, y, tol=options.bvp_tolerance)
-    cap = max(options.extension_cap, bvp.segment.length + 1.0)
-    ext = extend_geodesic(metric, x, bvp.segment.velocity(0.0), cap=cap)
-    return bvp, ext, projective_parameter(metric, ext)
+def _line(metric, x, y):
+    """The geodesic segment from x to y, its maximal extension and its
+    projective parameter normalized at x."""
+    seg = connect(metric, x, y).segment
+    cap = max(EXTENSION_CAP, seg.length + 1.0)
+    ext = extend_geodesic(metric, x, seg.velocity(0.0), cap=cap)
+    return seg, ext, projective_parameter(metric, ext)
 
 
-def _link_search(ext, par, s_a, s_b, x, y, options, canonical_chain=False):
-    """Best link from x = ext(s_a) to y = ext(s_b) over the admissible chart
+def _link_search(ext, par, s_x, s_y, x, y, options, canonical_chain=False):
+    """Best link from x = ext(s_x) to y = ext(s_y) over the admissible chart
     family of the chart through par.s0, and the canonical chain if asked."""
     lo_chart, hi_chart = par.chart_interval(par.s0)
-    if not (lo_chart <= s_a <= hi_chart and lo_chart <= s_b <= hi_chart):
+    if not (lo_chart <= s_x <= hi_chart and lo_chart <= s_y <= hi_chart):
         attainable = par.chart_range(par.s0)
         raise InadmissibleChartError(
             f"no single Moebius chart covers both endpoints; the chart through "
             f"the source spans parameters {attainable}", attainable_range=attainable)
-    p_x = par.value(s_a)
-    p_y = par.value(s_b)
+    p_x, p_y = par.value(s_x), par.value(s_y)
     base = _canonical_chart(par, p_x, p_y)
     u_x, u_y = map(base.inverse().apply, (p_x, p_y))
 
@@ -323,59 +316,46 @@ def _link_search(ext, par, s_a, s_b, x, y, options, canonical_chain=False):
         b = (u_y - lam) / (1.0 - lam * u_y)
         return (-a, -b) if swapped else (a, b)
 
-    state = {"evals": 0, "candidates": []}
-
     def objective(tau, swapped):
         a, b = pullback(tau, swapped)
         if not (abs(a) < 1.0 and abs(b) < 1.0):
             return math.inf
         return _funk_interval(a, b, options.k)
 
-    def record(fn, tau):
-        state["evals"] += 1
-        val = fn(tau)
-        state["candidates"].append((val, tau, fn.keywords["swapped"]))
-        return val
-
-    from functools import partial as _bind
-
+    # (value, tau, swapped) of every evaluation, in the order made: the sort
+    # below is stable, so the order decides ties
     canonical = objective(0.0, False)
-    state["candidates"].append((canonical, 0.0, False))
-    state["evals"] += 1
+    candidates = [(canonical, 0.0, False)]
     thirds = np.linspace(-TAU_MAX, TAU_MAX, 4)
     for swapped in (False, True):
-        fn = _bind(objective, swapped=swapped)
-        record(fn, 0.0)
+        candidates.append((objective(0.0, swapped), 0.0, swapped))
         for lo, hi in zip(thirds, thirds[1:]):
-            _golden_min(fn, lo, hi, options.budget, record)
+            candidates += [(val, tau, swapped) for val, tau in _golden_min(
+                lambda t: objective(t, swapped), lo, hi, options.budget)]
 
     def materialize(tau, swapped):
         a, b = pullback(tau, swapped)
-        link = ChainLink(geodesic=ext, parameter=par,
-                         chart=_chart_family_member(base, tau, swapped), a=a, b=b,
-                         k=options.k, start_point=x, end_point=y,
-                         stages=(base, tau, swapped))
+        link = ChainLink(geodesic=ext, parameter=par, base=base, a=a, b=b, k=options.k,
+                         start_point=x, end_point=y, tau=tau, swapped=swapped)
         return Chain(links=[link], waypoints=[x, y])
 
-    # best candidate whose chain passes the endpoint validation
-    chain = None
-    best = canonical
-    for val, tau, swapped in sorted(state["candidates"], key=lambda c: c[0]):
+    # best candidate whose chain passes the endpoint validation; the canonical
+    # member is one of them, so if none passes, it failed too
+    for best, tau, swapped in sorted(candidates, key=lambda c: c[0]):
         try:
             chain = materialize(tau, swapped)
-            best = val
             break
-        except ConstructionError:
-            continue
-    if chain is None:
-        chain = materialize(0.0, False)
-        best = canonical
+        except ConstructionError as exc:
+            if tau == 0.0 and not swapped:
+                canonical_error = exc
+    else:
+        raise canonical_error
     return {
         "best": best,
         "canonical": canonical,
         "chain": chain,
         "canonical_chain": materialize(0.0, False) if canonical_chain else None,
-        "evaluations": state["evals"],
+        "evaluations": len(candidates),
     }
 
 
@@ -383,8 +363,7 @@ def _cap_bound(chain) -> bool:
     """Whether some link's accepted chart member comes from a golden bracket
     that ends at +-TAU_MAX, where the interval Funk length keeps falling
     toward the search's reach."""
-    return any(link.stages is not None and abs(link.stages[1]) > TAU_MAX / 3.0
-               for link in chain.links)
+    return any(abs(link.tau) > TAU_MAX / 3.0 for link in chain.links)
 
 
 def pseudo_distance_upper(metric, x, y, options: PseudoDistanceOptions | None = None
@@ -411,8 +390,7 @@ def pseudo_distance_upper(metric, x, y, options: PseudoDistanceOptions | None = 
                                     chain=chain, evaluations=0, budget=options.budget,
                                     geodesic_distance=0.0, canonical_chain=chain)
 
-    bvp, ext, par = _line(metric, x, y, options)
-    seg = bvp.segment
+    seg, ext, par = _line(metric, x, y)
     L = seg.length
     single = _link_search(ext, par, 0.0, L, x, y, options, canonical_chain=True)
     best = single["best"]
@@ -459,19 +437,14 @@ def _attach_lower_bounds(metric, report, segment, options):
     report.canonical_above_lower_bound = report.canonical_value >= report.lower_bound - 1e-12
 
 
-def _segment_line_elements(metric, segment, count=7):
+def _segment_line_elements(metric, segment):
     n = metric.dimension
-    ss = np.linspace(segment.s_min, segment.s_max, count + 2)[1:-1]
+    ss = np.linspace(segment.s_min, segment.s_max, SEGMENT_SAMPLES + 2)[1:-1]
     states = segment.states(np.append(ss, 0.5 * (segment.s_min + segment.s_max)))
     out = []
     for st in states[:-1]:
-        xx, vv = st[:n], st[n:]
-        out.append((xx, vv))
-        out.append((xx, -vv))
-    mid = states[-1, :n]
-    for d in np.eye(n):
-        out.append((mid, d))
-    return out
+        out += [(st[:n], st[n:]), (st[:n], -st[n:])]
+    return out + [(states[-1, :n], d) for d in np.eye(n)]
 
 
 # ======================================================================
@@ -518,8 +491,7 @@ def schwarz_ratio(metric, link: ChainLink, grid, c) -> SchwarzReport:
     samples along the link's geodesic. The comparison against the bound
     k sqrt(n-1)/(2c) is report-only.
     """
-    if not c > 0:
-        raise ConstructionError("the Ricci bound constant c must be positive")
+    c = positive_finite(c, "the Ricci bound constant c")
     if link.degenerate:
         raise DomainError("the Schwarz ratio needs a link along a geodesic, not a point")
     _require_ricci_bound(metric, link, c)
@@ -549,12 +521,7 @@ def schwarz_ratio(metric, link: ChainLink, grid, c) -> SchwarzReport:
     return SchwarzReport(grid=grid, h_values=hs, empirical_sup=float(hs[i]),
                          sup_at=float(grid[i]), bound=bound,
                          passed=bool(hs[i] <= bound + 1e-12),
-                         monotonicity=monotonicity, c=float(c), k=link.k)
-
-
-def _mobius_derivative(m: MobiusTransform, t) -> float:
-    den = m.c * t + m.d
-    return m.determinant / (den * den)
+                         monotonicity=monotonicity, c=c, k=link.k)
 
 
 @dataclass
@@ -578,8 +545,7 @@ def corollary_check(metric, link: ChainLink, c) -> CorollaryReport:
     Report-only: both pass flags are recorded. The degenerate link compares
     zero against zero and passes.
     """
-    if not c > 0:
-        raise ConstructionError("the Ricci bound constant c must be positive")
+    c = positive_finite(c, "the Ricci bound constant c")
     n = metric.dimension
     lhs = link.funk_length
     if link.degenerate:
@@ -593,7 +559,7 @@ def corollary_check(metric, link: ChainLink, c) -> CorollaryReport:
     return CorollaryReport(lhs=lhs, geodesic_distance=d, rhs=rhs, rhs_alternate=rhs_alt,
                            passed=bool(lhs >= rhs - 1e-12),
                            passed_alternate=bool(lhs >= rhs_alt - 1e-12),
-                           c=float(c), k=link.k)
+                           c=c, k=link.k)
 
 
 # ======================================================================

@@ -30,6 +30,7 @@ EXTENSION_CAP = 50.0
 # Chain construction needs the chart endpoints to sit at machine accuracy,
 # so maximal extension runs much closer to the boundary than plain IVPs.
 EXTENSION_MARGIN = 1e-12
+CHORD_SAMPLES = 64  # midpoint-rule samples of the chord length that sizes connect's L_max
 
 
 # ======================================================================
@@ -409,14 +410,14 @@ class BVPResult:
     iterations: int
 
 
-def _chord_length(metric, x, y, samples=64):
-    ts = (np.arange(samples) + 0.5) / samples
+def _chord_length(metric, x, y):
+    ts = (np.arange(CHORD_SAMPLES) + 0.5) / CHORD_SAMPLES
     d = y - x
     points = x + ts[:, None] * d
     acc = 0.0
     for f in metric.norm_batch(points, np.broadcast_to(d, points.shape)).tolist():
         acc += f  # left to right, as a scalar loop sums
-    return acc / samples
+    return acc / CHORD_SAMPLES
 
 
 def _closest_approach(segment, target):

@@ -182,6 +182,12 @@ def check_composition(f, g, t) -> float:
 # Projective parameter
 # ======================================================================
 
+# _q_window's trims: stencil room as a fraction of the domain scale, and the
+# unit-speed residual of a healthy sample
+WINDOW_MARGIN = 1e-6
+WINDOW_DRIFT = 1e-6
+
+
 class ProjectiveParameter:
     """Projective normal parameter along a geodesic segment, exact piece by piece.
 
@@ -321,11 +327,11 @@ def _root(f, a, b) -> float:
     return float(optimize.brentq(f, a, b, xtol=1e-14, rtol=8.9e-16))
 
 
-def _q_window(metric, segment, margin_fraction=1e-6, drift_limit=1e-6):
+def _q_window(metric, segment):
     """Sub-span of the segment where curvature samples are trustworthy.
 
     Two trims: the segment data itself must still be healthy (unit-speed
-    residual within drift_limit; maximal extensions end at boundary slivers
+    residual within WINDOW_DRIFT; maximal extensions end at boundary slivers
     or chart escapes where the last steps sit at the precision edge), and
     finite-difference sprays additionally need stencil room away from a
     domain boundary. Jet-backed sprays need no stencil room.
@@ -333,7 +339,7 @@ def _q_window(metric, segment, margin_fraction=1e-6, drift_limit=1e-6):
     lo, hi = segment.s_min, segment.s_max
     ss = np.linspace(lo, hi, 201)
     needs_room = metric.bounded_domain and not metric.closed_form
-    threshold = margin_fraction * metric.domain_scale
+    threshold = WINDOW_MARGIN * metric.domain_scale
     n = metric.dimension
     states = segment.states(ss)
     X, V = states[:, :n], states[:, n:]
@@ -341,7 +347,7 @@ def _q_window(metric, segment, margin_fraction=1e-6, drift_limit=1e-6):
         # one validation and one evaluation of the valid samples; an invalid one is unhealthy
         valid = metric.valid_line_elements(X, V)
         drift_ok = np.zeros(len(ss), dtype=bool)
-        drift_ok[valid] = np.abs(metric._norm_rows(X[valid], V[valid]) - 1.0) <= drift_limit
+        drift_ok[valid] = np.abs(metric._norm_rows(X[valid], V[valid]) - 1.0) <= WINDOW_DRIFT
     except Exception:
         drift_ok = None  # a closed form that raises on some sample: judge one by one
 
@@ -349,7 +355,7 @@ def _q_window(metric, segment, margin_fraction=1e-6, drift_limit=1e-6):
         # judged only when the walk out from the anchor reaches sample i
         try:
             if drift_ok is None:
-                if not abs(metric.norm(X[i], V[i]) - 1.0) <= drift_limit:
+                if not abs(metric.norm(X[i], V[i]) - 1.0) <= WINDOW_DRIFT:
                     return False
             elif not drift_ok[i]:
                 return False

@@ -73,6 +73,7 @@ class TestChains:
         link = ChainLink.degenerate_link(np.array([0.1, 0.2]))
         chain = Chain(links=[link], waypoints=[np.array([0.1, 0.2])] * 2)
         assert chain.length == 0.0
+        assert chain.to_dict()[0]["chart"] == {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0}
 
     def test_two_link_concatenation_adds(self, klein2):
         opts = PseudoDistanceOptions()
@@ -95,13 +96,13 @@ class TestChains:
         mid_u = 0.3
         mid_point = link.map_point(mid_u)
         first = ChainLink(geodesic=link.geodesic, parameter=link.parameter,
-                          chart=link.chart, a=link.a, b=mid_u, k=link.k,
+                          base=link.base, a=link.a, b=mid_u, k=link.k,
                           start_point=link.start_point, end_point=mid_point,
-                          stages=link.stages)
+                          tau=link.tau, swapped=link.swapped)
         second = ChainLink(geodesic=link.geodesic, parameter=link.parameter,
-                           chart=link.chart, a=mid_u, b=link.b, k=link.k,
+                           base=link.base, a=mid_u, b=link.b, k=link.k,
                            start_point=mid_point, end_point=link.end_point,
-                           stages=link.stages)
+                           tau=link.tau, swapped=link.swapped)
         chain = Chain(links=[first, second],
                       waypoints=[link.start_point, mid_point, link.end_point])
         assert chain.length == pytest.approx(link.funk_length, abs=1e-10)
@@ -126,9 +127,9 @@ class TestChains:
         monkeypatch.setattr(ChainLink, "parameter_of",
                             lambda self, u: solved.append(u) or solve(self, u))
         with pytest.raises(ConstructionError, match="waypoints"):
-            ChainLink(geodesic=link.geodesic, parameter=link.parameter, chart=link.chart,
+            ChainLink(geodesic=link.geodesic, parameter=link.parameter, base=link.base,
                       a=link.a, b=link.b, k=link.k, start_point=[0.1, 0.0],
-                      end_point=link.end_point, stages=link.stages)
+                      end_point=link.end_point, tau=link.tau, swapped=link.swapped)
         assert solved == [link.a]
 
 
@@ -201,6 +202,11 @@ class TestPseudoDistance:
             PseudoDistanceOptions(c=0.0)
         with pytest.raises(ConstructionError):
             PseudoDistanceOptions(c=-1.0)
+        for bad in ({"budget": 2.5}, {"segments": 2.0}, {"budget": "12"}):
+            with pytest.raises(ConstructionError, match="integers"):
+                PseudoDistanceOptions(**bad)
+        with pytest.raises(ConstructionError, match="integers"):
+            positivity_probe(klein_metric(2), [([0.0, 0.0], [0.5, 0.0])], c=1.0, budget=2.5)
 
     def test_pole_separated_endpoints_inadmissible(self):
         sphere = SphereMetric()
@@ -209,10 +215,9 @@ class TestPseudoDistance:
         # arc length between them is 2.6 > pi/2, so a parameter pole sits
         # between the endpoints and no single Moebius chart covers both
         with pytest.raises(InadmissibleChartError) as info:
-            pseudo_distance_upper(sphere, x, y,
-                                  PseudoDistanceOptions(extension_cap=4.0,
-                                                        bvp_tolerance=1e-6))
-        assert info.value.attainable_range is not None
+            pseudo_distance_upper(sphere, x, y)
+        lo, hi = info.value.attainable_range
+        assert lo == pytest.approx(-0.2776, abs=1e-4) and hi == math.inf
 
     def test_subdivision_reuses_the_parent_line(self, klein2, monkeypatch):
         calls = []
@@ -247,7 +252,7 @@ class TestPseudoDistance:
         check = ChainLink.__post_init__
 
         def counting(self):
-            if self.stages is not None and self.stages[1:] == (0.0, False):
+            if self.tau == 0.0 and not self.swapped:
                 canonical.append(self)
             check(self)
 
@@ -273,10 +278,23 @@ class TestPseudoDistance:
     def test_canonical_chain_kept_off_the_dict(self, klein2):
         report = pseudo_distance_upper(klein2, [0.1, 0.2], [-0.3, 0.4])
         assert report.canonical_chain.length == report.canonical_value
-        assert report.canonical_chain.links[0].stages[1:] == (0.0, False)
+        link = report.canonical_chain.links[0]
+        assert (link.tau, link.swapped) == (0.0, False)
         assert "canonical_chain" not in report.to_dict()
         same = pseudo_distance_upper(klein2, [0.1, 0.2], [0.1, 0.2])
         assert same.canonical_chain is same.chain
+
+    @pytest.mark.parametrize("budget", [1, 12, 48])
+    def test_evaluation_count(self, klein2, budget):
+        # the canonical member, then per orientation the untranslated member
+        # and three golden searches of budget + 2 evaluations each
+        single = 1 + 2 * (1 + 3 * (budget + 2))
+        report = pseudo_distance_upper(klein2, [0.1, 0.2], [-0.3, 0.4],
+                                       PseudoDistanceOptions(budget=budget))
+        assert report.evaluations == single
+        split = pseudo_distance_upper(klein2, [0.1, 0.2], [-0.3, 0.4],
+                                      PseudoDistanceOptions(budget=budget, segments=2))
+        assert split.evaluations == 3 * single
 
     def test_lower_bound_fields(self, klein2):
         report = pseudo_distance_upper(klein2, [0.0, 0.0], [0.5, 0.0],
@@ -334,6 +352,16 @@ class TestSchwarzRatio:
             schwarz_ratio(klein2, klein_link, [0.0, 1.0], c=1.0)
         with pytest.raises(ConstructionError):
             schwarz_ratio(klein2, klein_link, [0.0, 0.5], c=-1.0)
+
+
+@pytest.mark.parametrize("c", [math.inf, math.nan, 0.0, -1.0, 1e200])
+def test_checkers_validate_c(klein2, klein_link, c):
+    # an infinite c made the corollary's rhs nan; 1e200 squares to inf
+    for link in (ChainLink.degenerate_link(np.array([0.1, 0.2])), klein_link):
+        with pytest.raises(ConstructionError, match="constant c"):
+            schwarz_ratio(klein2, link, [0.0, 0.5], c)
+        with pytest.raises(ConstructionError, match="constant c"):
+            corollary_check(klein2, link, c)
 
 
 class TestCorollary:

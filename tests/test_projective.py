@@ -368,10 +368,11 @@ class TestQWindow:
         (blackbox_klein, 6.0, 1e-6),     # the stencil-room branch, untrimmed
         (blackbox_klein, 6.0, 0.5),      # the stencil-room branch trims both ends
     ])
-    def test_equals_judging_every_sample(self, make, cap, margin):
+    def test_equals_judging_every_sample(self, make, cap, margin, monkeypatch):
         metric = make()
         seg = extend_geodesic(metric, [0.1, 0.2], [0.3, -0.4], cap=cap)
-        window = projective._q_window(metric, seg, margin_fraction=margin)
+        monkeypatch.setattr(projective, "WINDOW_MARGIN", margin)
+        window = projective._q_window(metric, seg)
         assert window == brute_force_window(metric, seg, margin_fraction=margin)
         if margin == 0.5:
             assert seg.s_min < window[0] and window[1] < seg.s_max
