@@ -23,14 +23,14 @@ class FinslerMetric:
     are immutable after construction and safe to share between threads.
 
     `closed_form` marks `_norm_impl` and `_spray_impl` as the library's own
-    arithmetic, which takes floats, (N,) columns and jets alike. A black-box
-    metric's norm gets float arrays row by row, and its spray comes from
-    `spray_vector` or else from stencils of its tensor (formal Christoffels).
+    arithmetic, which takes floats, (N,) columns and jets alike, and is the
+    only route flag. A black-box metric's norm gets float arrays row by row,
+    its tensor comes from `metric_tensor` or the y-Hessian stencil, and its
+    spray from `spray_vector` or stencils of its tensor (formal Christoffels).
     """
 
     dimension: int
     domain_scale: float = 1.0   # the gamma entering the boundary-margin rule
-    supports_jets: bool = True
     closed_form: bool = False
     name: str = "finsler"
 

@@ -166,10 +166,12 @@ class CurvatureData:
 
 
 # ricci_tensor's y-step, relative to max|y|, and its contraction-residual limit;
-# check_ricci_bound's limit on the top eigenvalue of Ric + c^2 g, relative to g's scale
+# check_ricci_bound's limit on the top eigenvalue of Ric + c^2 g, relative to g's scale;
+# projective_factor's limit on its fit residual, relative to the sprays' scale
 TENSOR_STEP = 0.05
 CONTRACTION_LIMIT = 1e-3
 RICCI_BOUND_TOLERANCE = 1e-3
+PROJECTIVE_FACTOR_TOLERANCE = 1e-6
 
 
 def _ricci_tensors(metric, samples):
@@ -330,7 +332,7 @@ class ProjectiveFactor:
     residual: float
 
 
-def projective_factor(metric_a, metric_b, x, y, tolerance=1e-6) -> ProjectiveFactor:
+def projective_factor(metric_a, metric_b, x, y) -> ProjectiveFactor:
     """Least-squares fit of P from G_b - G_a = P y.
 
     Raises NotProjectiveError when the spray difference is not proportional
@@ -344,7 +346,7 @@ def projective_factor(metric_a, metric_b, x, y, tolerance=1e-6) -> ProjectiveFac
     p = float(delta @ y / (y @ y))
     residual = float(np.abs(delta - p * y).max())
     scale = max(1.0, float(np.abs(ga).max()), float(np.abs(gb).max()))
-    if residual > tolerance * scale:
+    if residual > PROJECTIVE_FACTOR_TOLERANCE * scale:
         raise NotProjectiveError(
             f"spray difference is not proportional to y at x={x.tolist()}, "
             f"y={y.tolist()} (residual {residual:.3e})", residual=residual)

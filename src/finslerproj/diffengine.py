@@ -12,7 +12,7 @@ derivatives, and `hessian_points` and `hessian_combine` the one y-Hessian
 stencil, of whole stacks at caller-given steps. `fundamental_tensor`, g_ij =
 (F^2/2)_{y^i y^j} at y scaled into [1/2, 1), is the Hessian the geometry is
 built from: an analytic provider answers first, then one second-order pass
-over a jet-safe norm, then the y-Hessian stencil over a black-box one.
+over a closed-form norm, then the y-Hessian stencil over a black-box one.
 """
 
 from __future__ import annotations
@@ -414,7 +414,7 @@ def fundamental_tensor(metric, x, y) -> np.ndarray:
     into [1/2, 1) (g is 0-homogeneous).
 
     Analytic providers on the metric take precedence; otherwise one
-    second-order forward pass differentiates a jet-safe norm, and the
+    second-order forward pass differentiates a closed-form norm, and the
     y-Hessian stencil at steps h and h/2 a black-box one: the h/2 estimate,
     or AccuracyError where the two differ by over MAX_RELATIVE_ERROR. The
     numeric result is symmetrized exactly.
@@ -428,7 +428,7 @@ def fundamental_tensor(metric, x, y) -> np.ndarray:
         g = np.asarray(analytic, dtype=float)
         return 0.5 * (g + g.T)
     n = metric.dimension
-    if metric.supports_jets:  # one second-order pass over the variables y
+    if metric.closed_form:  # one second-order pass over the variables y
         f = metric._norm_impl(list(x), Dual2.variables(y.tolist(), n))
         g = (0.5 * (f * f)).hess
     else:

@@ -31,6 +31,8 @@ EXTENSION_CAP = 50.0
 # so maximal extension runs much closer to the boundary than plain IVPs.
 EXTENSION_MARGIN = 1e-12
 CHORD_SAMPLES = 64  # midpoint-rule samples of the chord length that sizes connect's L_max
+GEODESIC_TOL = 1e-11  # every leg's DOP853 rtol; its atol is a tenth of it
+SHOT_BUDGET = 60  # least_squares' max_nfev for each start of connect's search
 
 
 # ======================================================================
@@ -257,7 +259,7 @@ class GeodesicSegment:
         return worst
 
 
-def _solve_leg(metric, z0, s_end, rtol, atol, margin, escape_as_truncation=False):
+def _solve_leg(metric, z0, s_end, margin, escape_as_truncation=False):
     """DOP853 for z = (x, v), z' = (v, -G(x, v)) from z0 at s = 0 to s_end, step for
     step scipy's DOP853 with dense output and a terminal event: its initial step,
     E5/E3 error norm, step factors and 10-ulp step floor. Stage states are BLAS row
@@ -282,7 +284,8 @@ def _solve_leg(metric, z0, s_end, rtol, atol, margin, escape_as_truncation=False
 
     threshold = margin * metric.domain_scale if metric.bounded_domain else None
     gap = lambda z: metric.domain_value(np.array(z[:n])) - threshold
-    direction, rtol = math.copysign(1.0, s_end), max(rtol, 100 * _EPS)
+    direction = math.copysign(1.0, s_end)
+    rtol, atol = max(GEODESIC_TOL, 100 * _EPS), GEODESIC_TOL * 1e-1
     t, y, f = 0.0, z0.tolist(), fun(z0.tolist())
     # scipy's select_initial_step (error order 7), on numpy scalars as there
     ya, fa = np.array(y), np.array(f)
@@ -368,7 +371,7 @@ def _unit_state(metric, x0, y0):
     return np.concatenate([x0, y0 / metric.norm(x0, y0)])
 
 
-def integrate_geodesic(metric, x0, y0, length, *, tol=1e-11) -> GeodesicSegment:
+def integrate_geodesic(metric, x0, y0, length) -> GeodesicSegment:
     """Unit-speed geodesic from x0 in direction y0, integrated for the given length.
 
     y0 is normalized to F(x0, y0) = 1. A boundary approach within
@@ -380,20 +383,18 @@ def integrate_geodesic(metric, x0, y0, length, *, tol=1e-11) -> GeodesicSegment:
                           "integrate the reverse direction for a backward leg")
     if length == 0.0:
         return GeodesicSegment(metric, z0)
-    sol, truncated = _solve_leg(metric, z0, float(length), tol, tol * 1e-1, BOUNDARY_MARGIN)
+    sol, truncated = _solve_leg(metric, z0, float(length), BOUNDARY_MARGIN)
     return GeodesicSegment(metric, z0, forward=sol, truncated=(False, truncated))
 
 
-def extend_geodesic(metric, x0, y0, *, cap=EXTENSION_CAP, tol=1e-11) -> GeodesicSegment:
+def extend_geodesic(metric, x0, y0, *, cap=EXTENSION_CAP) -> GeodesicSegment:
     """Maximal extension through (x0, y0): both directions to the boundary
     margin or the length cap, which must be finite and positive."""
     if not (math.isfinite(cap) and cap > 0):
         raise DomainError(f"extension cap must be finite and positive, got {cap}")
     z0 = _unit_state(metric, x0, y0)
-    fwd, tf = _solve_leg(metric, z0, float(cap), tol, tol * 1e-1, EXTENSION_MARGIN,
-                         escape_as_truncation=True)
-    back, tb = _solve_leg(metric, z0, -float(cap), tol, tol * 1e-1, EXTENSION_MARGIN,
-                          escape_as_truncation=True)
+    fwd, tf = _solve_leg(metric, z0, float(cap), EXTENSION_MARGIN, escape_as_truncation=True)
+    back, tb = _solve_leg(metric, z0, -float(cap), EXTENSION_MARGIN, escape_as_truncation=True)
     return GeodesicSegment(metric, z0, forward=fwd, backward=back, truncated=(tb, tf))
 
 
@@ -441,7 +442,7 @@ def _closest_approach(segment, target):
     return float(ss[i]), float(dists[i])
 
 
-def connect(metric, x, y, tol=1e-8, max_nfev=60) -> BVPResult:
+def connect(metric, x, y, tol=1e-8) -> BVPResult:
     """Shooting solve for the geodesic from x to y.
 
     The search runs over the initial direction only (the straight chord is
@@ -518,7 +519,7 @@ def connect(metric, x, y, tol=1e-8, max_nfev=60) -> BVPResult:
             break
         try:
             optimize.least_squares(residual, start, method="lm", xtol=1e-15,
-                                   ftol=1e-15, gtol=1e-15, max_nfev=max_nfev,
+                                   ftol=1e-15, gtol=1e-15, max_nfev=SHOT_BUDGET,
                                    diff_step=1e-8)
         except DomainError:
             continue
@@ -534,7 +535,7 @@ def connect(metric, x, y, tol=1e-8, max_nfev=60) -> BVPResult:
     return BVPResult(segment, miss, evals)
 
 
-def finsler_distance(metric, x, y, tol=1e-8) -> float:
+def finsler_distance(metric, x, y) -> float:
     """Induced distance d(x, y), the length of the connecting geodesic.
 
     Asymmetric in general: d(x, y) and d(y, x) differ whenever F is only
@@ -544,4 +545,4 @@ def finsler_distance(metric, x, y, tol=1e-8) -> float:
     y = metric.check_point(y)
     if np.array_equal(x, y):
         return 0.0
-    return connect(metric, x, y, tol=tol).segment.length
+    return connect(metric, x, y).segment.length

@@ -74,7 +74,6 @@ class RiemannianSpec:
     dimension: int
     metric_provider: Callable
     domain_provider: Callable | None = None
-    domain_scale: float = 1.0
     name: str = "riemannian"
 
     def __post_init__(self):
@@ -85,12 +84,9 @@ class RiemannianSpec:
 class RiemannianMetric(FinslerMetric):
     """sqrt(g_ij(x) y^i y^j) for a user-supplied tensor field."""
 
-    supports_jets = False  # provider signature is plain-float; g is analytic anyway
-
     def __init__(self, spec: RiemannianSpec):
         self.spec = spec
         self.dimension = spec.dimension
-        self.domain_scale = spec.domain_scale
         self.name = spec.name
 
     def _norm_impl(self, x, y):
@@ -114,7 +110,6 @@ class KleinMetric(RiemannianMetric):
     canonical fixture satisfying a negative Ricci bound with c^2 = n-1.
     """
 
-    supports_jets = True
     closed_form = True
     name = "klein"
 
@@ -346,7 +341,6 @@ class RandersSpec:
     dimension: int
     a_provider: Callable | np.ndarray
     b_provider: Callable | np.ndarray
-    domain_box: float = 1.0
     name: str = "randers"
 
     def __post_init__(self):
@@ -371,8 +365,6 @@ class RandersSpec:
 
 class RandersMetric(FinslerMetric):
     """Randers norm with analytic fundamental tensor."""
-
-    supports_jets = False  # providers may be float-only; metric_tensor is analytic anyway
 
     def __init__(self, spec: RandersSpec):
         self.spec = spec
@@ -404,10 +396,6 @@ class RandersMetric(FinslerMetric):
         b = self.spec.b_at(np.asarray(x, dtype=float))
         return math.sqrt(float(b @ np.linalg.solve(a, b)))
 
-    def random_interior_point(self, rng):
-        s = self.spec.domain_box * 0.9
-        return rng.uniform(-s, s, self.dimension)
-
 
 def _check_spd(a, where=""):
     """ConstructionError unless the Randers a is finite, symmetric and positive
@@ -428,7 +416,7 @@ def randers_metric(spec: RandersSpec) -> RandersMetric:
     definite and |b|_a >= 1.
 
     A constant a is checked once; a field a, |b|_a and strong convexity are
-    validated on a grid of 40 random points over the declared domain box.
+    validated on a grid of 40 random points of the box (-0.9, 0.9)^n.
     """
     metric = RandersMetric(spec)
     a_varies = callable(spec.a_provider)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import interpolate, optimize
 
+from .core import positive_finite, unit_scaled
 from .curvature import ricci_scalar_batch
 from .diffengine import Jet
 from .errors import (ChartError, ConstructionError, CriticalPointError, DomainError,
@@ -111,7 +112,9 @@ class MobiusTransform:
 
 
 def cross_ratio(t1, t2, t3, t4) -> float:
-    """(t1 - t3)(t2 - t4) / ((t1 - t4)(t2 - t3))."""
+    """(t1 - t3)(t2 - t4) / ((t1 - t4)(t2 - t3)) of four finite points."""
+    if not all(math.isfinite(t) for t in (t1, t2, t3, t4)):
+        raise DomainError(f"cross ratio needs four finite points, got {(t1, t2, t3, t4)}")
     num = (t1 - t3) * (t2 - t4)
     den = (t1 - t4) * (t2 - t3)
     if den == 0.0:
@@ -164,6 +167,7 @@ _OFFSETS9 = np.arange(-4.0, 5.0)
 def schwarzian_fd(f, t, step=0.02) -> float:
     """Finite-difference Schwarzian for black-box callables: 9-point central
     stencils at the given step."""
+    step = positive_finite(step, "the Schwarzian stencil step")
     vals = np.array([float(f(t + o * step)) for o in _OFFSETS9])
     return _schwarzian_from_derivs(float(_STENCIL9[1] @ vals) / step,
                                    float(_STENCIL9[2] @ vals) / step ** 2,
@@ -328,51 +332,34 @@ def _root(f, a, b) -> float:
 
 
 def _q_window(metric, segment):
-    """Sub-span of the segment where curvature samples are trustworthy.
+    """Sub-span of the segment where curvature samples are trustworthy: the
+    run of healthy samples, out of 201, around the one nearest s = 0, or the
+    whole segment where that one is unhealthy.
 
-    Two trims: the segment data itself must still be healthy (unit-speed
-    residual within WINDOW_DRIFT; maximal extensions end at boundary slivers
-    or chart escapes where the last steps sit at the precision edge), and
-    finite-difference sprays additionally need stencil room away from a
-    domain boundary. Jet-backed sprays need no stencil room.
+    A sample is healthy when it is a valid line element whose unit-speed
+    residual is within WINDOW_DRIFT (maximal extensions end at boundary
+    slivers or chart escapes where the last steps sit at the precision edge;
+    a non-finite F fails), and, for finite-difference sprays on a bounded
+    domain, when it leaves the stencils WINDOW_MARGIN of room. Jet-backed
+    sprays need no stencil room.
     """
     lo, hi = segment.s_min, segment.s_max
     ss = np.linspace(lo, hi, 201)
-    needs_room = metric.bounded_domain and not metric.closed_form
-    threshold = WINDOW_MARGIN * metric.domain_scale
     n = metric.dimension
     states = segment.states(ss)
     X, V = states[:, :n], states[:, n:]
-    try:
-        # one validation and one evaluation of the valid samples; an invalid one is unhealthy
-        valid = metric.valid_line_elements(X, V)
-        drift_ok = np.zeros(len(ss), dtype=bool)
-        drift_ok[valid] = np.abs(metric._norm_rows(X[valid], V[valid]) - 1.0) <= WINDOW_DRIFT
-    except Exception:
-        drift_ok = None  # a closed form that raises on some sample: judge one by one
-
-    def healthy(i):
-        # judged only when the walk out from the anchor reaches sample i
-        try:
-            if drift_ok is None:
-                if not abs(metric.norm(X[i], V[i]) - 1.0) <= WINDOW_DRIFT:
-                    return False
-            elif not drift_ok[i]:
-                return False
-            if needs_room and metric.domain_value(X[i]) < threshold:
-                return False
-        except Exception:
-            return False
-        return True
-
-    anchor = int(np.argmin(np.abs(ss)))
-    if not healthy(anchor):
+    healthy = metric.valid_line_elements(X, V)
+    with np.errstate(all="ignore"):
+        healthy[healthy] = np.abs(metric._norm_rows(X[healthy], V[healthy]) - 1.0) <= WINDOW_DRIFT
+    if metric.bounded_domain and not metric.closed_form:
+        threshold = WINDOW_MARGIN * metric.domain_scale
+        healthy[healthy] = [metric.domain_value(x) >= threshold for x in X[healthy]]
+    a = b = int(np.argmin(np.abs(ss)))
+    if not healthy[a]:
         return lo, hi
-    a = anchor
-    while a > 0 and healthy(a - 1):
+    while a > 0 and healthy[a - 1]:
         a -= 1
-    b = anchor
-    while b < len(ss) - 1 and healthy(b + 1):
+    while b < len(ss) - 1 and healthy[b + 1]:
         b += 1
     return float(ss[a]), float(ss[b])
 
@@ -395,6 +382,7 @@ def projective_parameter(metric, segment: GeodesicSegment, *, s0=0.0,
     (Sturm separation). The pieces are chained by 2x2 transfer matrices
     outward from s0, where pi(s0) = 0 and pi'(s0) = 1.
     """
+    q_step = positive_finite(q_step, "the q sampling step")
     n = metric.dimension
     lo, hi = segment.s_min, segment.s_max
     if not lo <= s0 <= hi:
@@ -463,8 +451,10 @@ def projective_parameter(metric, segment: GeodesicSegment, *, s0=0.0,
 # Projective invariance cross-check
 # ======================================================================
 
-def invariance_cross_check(metric_a, metric_b, x0, direction, probe_arclengths,
-                           *, cap=20.0) -> float:
+CROSS_CHECK_CAP = 20.0  # the extension cap of both geodesics
+
+
+def invariance_cross_check(metric_a, metric_b, x0, direction, probe_arclengths) -> float:
     """Cross-ratio comparison of the projective parameters of two metrics
     sharing a straight-line geodesic through x0.
 
@@ -478,12 +468,12 @@ def invariance_cross_check(metric_a, metric_b, x0, direction, probe_arclengths,
     probes = sorted(float(s) for s in probe_arclengths)
     if len(probes) != 4:
         raise ConstructionError("exactly 4 probe arc-lengths are needed")
-    x0 = np.asarray(x0, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    unit = direction / np.linalg.norm(direction)
+    x0, direction = metric_a.check_line_element(x0, direction)
+    unit = unit_scaled(direction)[0]  # whose norm neither under- nor overflows
+    unit = unit / np.linalg.norm(unit)
 
-    seg_a = extend_geodesic(metric_a, x0, direction, cap=cap)
-    seg_b = extend_geodesic(metric_b, x0, direction, cap=cap)
+    seg_a = extend_geodesic(metric_a, x0, direction, cap=CROSS_CHECK_CAP)
+    seg_b = extend_geodesic(metric_b, x0, direction, cap=CROSS_CHECK_CAP)
     par_a = projective_parameter(metric_a, seg_a)
     par_b = projective_parameter(metric_b, seg_b)
 

@@ -16,7 +16,6 @@ class SquaredNormField(FinslerMetric):
     """Deliberately non-homogeneous: F = |y|^2."""
 
     name = "squared"
-    supports_jets = False
 
     def __init__(self):
         self.dimension = 2
@@ -29,7 +28,6 @@ class NoisyMetric(FinslerMetric):
     """Euclidean norm with a high-frequency ripple; breaks differencing."""
 
     name = "noisy"
-    supports_jets = False
 
     def __init__(self):
         self.dimension = 2
@@ -115,7 +113,6 @@ class TestStrongConvexity:
     def test_oversized_one_form_fails_somewhere(self, rng):
         class BadRanders(FinslerMetric):
             name = "bad-randers"
-            supports_jets = False
 
             def __init__(self):
                 self.dimension = 2

@@ -339,7 +339,7 @@ class TestRicciTensor:
             data = ricci_tensor(metric, x, y)
             routes = [metric] + ([stripped(metric, True), stripped(metric, False)]
                                  if metric.metric_tensor(x, y) is not None
-                                 and metric.supports_jets else [])
+                                 and metric.closed_form else [])
             tensors = [fundamental_tensor(m, x, y) for m in routes]
             return [hexes(v.ravel()) for v in [data.ric_tensor, data.ell, *tensors,
                                                geodesics._unit_state(metric, x, y)]]

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from finslerproj.core import FinslerMetric, validate_strong_convexity
 from finslerproj.diffengine import (Dual2, Jet, fundamental_tensor, gradient_combine,
                                     gradient_points, hessian_combine, hessian_points,
                                     jet_where)
@@ -96,11 +97,22 @@ def exact_partial(terms, orders, point):
     return total
 
 
-def stripped(metric, supports_jets):
+class NumpyNorm(FinslerMetric):
+    """sqrt(y A y) through numpy and float(), with no route flag and no
+    tensor provider set: the engine must treat it as a black box."""
+
+    A = np.array([[2.0, 0.3], [0.3, 1.0]])
+    dimension = 2
+
+    def _norm_impl(self, x, y):
+        return math.sqrt(float(np.dot(y, np.dot(self.A, y))))
+
+
+def stripped(metric, closed_form):
     """The norm of `metric` without its analytic fundamental tensor, so
     fundamental_tensor has to differentiate it."""
     return SimpleNamespace(
-        dimension=metric.dimension, supports_jets=supports_jets,
+        dimension=metric.dimension, closed_form=closed_form,
         check_line_element=metric.check_line_element,
         metric_tensor=lambda x, y: None,
         _norm_impl=metric._norm_impl, norm=metric.norm)
@@ -279,7 +291,7 @@ class TestFundamentalTensor:
         x = np.array([0.3, -0.2])
         y = np.array([0.8, 0.5])
         analytic = fundamental_tensor(ball2, x, y)
-        numeric = fundamental_tensor(stripped(ball2, supports_jets=True), x, y)
+        numeric = fundamental_tensor(stripped(ball2, closed_form=True), x, y)
         assert np.abs(numeric - analytic).max() < 1e-9
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -291,7 +303,7 @@ class TestFundamentalTensor:
             calls.append(len(y))
             return ball._norm_impl(x, y)
 
-        metric = stripped(ball, supports_jets=True)
+        metric = stripped(ball, closed_form=True)
         metric._norm_impl = counting
         x, y = ball.random_line_elements(1, np.random.default_rng(5))[0]
         g = fundamental_tensor(metric, x, y)
@@ -305,12 +317,20 @@ class TestFundamentalTensor:
         # the y-Hessian stencil on a black-box norm, within the
         # finite-difference tolerance
         metric = make()
-        black_box = stripped(metric, supports_jets=False)
+        black_box = stripped(metric, closed_form=False)
         for x, y in metric.random_line_elements(10, rng):
             analytic = fundamental_tensor(metric, x, y)
             numeric = fundamental_tensor(black_box, x, y)
             scale = max(1.0, float(np.abs(analytic).max()))
             assert np.abs(numeric - analytic).max() / scale < 1e-9
+
+    def test_flagless_subclass_takes_the_stencil(self, rng):
+        metric = NumpyNorm()
+        for x, y in metric.random_line_elements(5, rng):
+            assert np.abs(fundamental_tensor(metric, x, y) - NumpyNorm.A).max() < 1e-9
+        report = validate_strong_convexity(metric, metric.random_line_elements(5, rng))
+        assert report.passed
+        assert report.checks[0].residual == pytest.approx(-np.linalg.eigvalsh(NumpyNorm.A)[0])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_hessian_stencil_exact_on_quintics(self, n, rng):
@@ -349,7 +369,7 @@ class TestFundamentalTensor:
         def norm(x, y):
             return math.sqrt(float(y @ y) + 2e-3 * math.sin(4e5 * y[0]))
 
-        noisy = SimpleNamespace(dimension=2, supports_jets=False,
+        noisy = SimpleNamespace(dimension=2, closed_form=False,
                                 check_line_element=lambda x, y: (x, y),
                                 metric_tensor=lambda x, y: None, norm=norm)
         with pytest.raises(AccuracyError):

@@ -1,6 +1,7 @@
 """Moebius utilities, the Schwarzian, and the projective parameter."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from finslerproj.diffengine import Jet
 from finslerproj.errors import (ChartError, ConstructionError, CriticalPointError,
                                DomainError, PoleError)
 from finslerproj.geodesics import extend_geodesic
-from finslerproj.metrics import (EuclideanMetric, RiemannianMetric, RiemannianSpec,
-                                 funk_ball, klein_metric)
+from finslerproj.metrics import (EuclideanMetric, KleinMetric, RiemannianMetric,
+                                 RiemannianSpec, funk_ball, klein_metric)
 from finslerproj.projective import (MobiusTransform, check_composition,
                                     cross_ratio, invariance_cross_check,
                                     projective_parameter, schwarzian,
@@ -38,7 +39,6 @@ class SphereMetric(RiemannianMetric):
     """Round sphere in its central-projection chart: straight geodesics,
     constant curvature +1, so q = +2 and the parameter is tan(s)."""
 
-    supports_jets = True
     closed_form = True
     name = "sphere"
 
@@ -99,6 +99,14 @@ class TestMobius:
         with pytest.raises(DomainError):
             cross_ratio(0.1, 0.2, 0.3, 0.1)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_cross_ratio_rejects_non_finite_points(self, slot, bad):
+        points = [0.1, 0.2, 0.3, 0.4]
+        points[slot] = bad
+        with pytest.raises(DomainError, match="finite"):
+            cross_ratio(*points)
+
     def test_cross_ratio_preserved(self, rng):
         for _ in range(200):
             m = random_mobius(rng)
@@ -146,6 +154,12 @@ class TestSchwarzian:
         assert schwarzian_fd(math.tan, 0.5) == pytest.approx(2.0, abs=5e-7)
         with pytest.raises(ConstructionError, match="schwarzian_fd"):
             schwarzian(math.tanh, 0.3)
+
+    @pytest.mark.parametrize("step", [0.0, -0.02, math.inf, math.nan])
+    def test_fd_step_must_be_positive_and_finite(self, step):
+        # a zero step divides by zero, and a non-finite one makes the value NaN
+        with pytest.raises(ConstructionError, match="stencil step"):
+            schwarzian_fd(math.tanh, 0.3, step=step)
 
     def test_critical_point_error(self):
         with pytest.raises(CriticalPointError):
@@ -216,6 +230,15 @@ class TestProjectiveParameter:
         for s0 in (seg.s_max + 0.5, math.nan):
             with pytest.raises(DomainError):
                 projective_parameter(klein2, seg, s0=s0)
+
+    @pytest.mark.parametrize("q_step", [0.0, -0.25, -1e9, math.inf, math.nan])
+    def test_q_step_checked_before_sampling(self, klein2, q_step, monkeypatch):
+        # unchecked, a zero step divides by zero, a negative or infinite one
+        # splines q from 9 samples, and nan reads as over 65536 samples
+        seg = extend_geodesic(klein2, [0.1, 0.1], [0.5, -0.2], cap=1.0)
+        monkeypatch.setattr(projective, "_q_window", None)
+        with pytest.raises(ConstructionError, match="q sampling step"):
+            projective_parameter(klein2, seg, q_step=q_step)
 
     def test_schwarzian_recovers_q(self, klein2):
         seg = extend_geodesic(klein2, [0.0, 0.0], [1.0, 0.0])
@@ -382,15 +405,32 @@ class TestQWindow:
         window = projective._q_window(klein2, seg)
         assert window == (seg.s_min, seg.s_max) == brute_force_window(klein2, seg)
 
-    def test_judges_only_the_samples_the_walk_reaches(self, monkeypatch):
+    def test_one_pass_without_norm_calls(self, monkeypatch):
+        # all 201 samples are judged on the stacks at once, never one by one
         metric = klein_metric(2)
         seg = extend_geodesic(metric, [0.1, 0.2], [0.3, -0.4])
-        calls = []
-        norm = metric.norm
-        monkeypatch.setattr(metric, "norm", lambda x, y: calls.append(1) or norm(x, y))
+        expected = brute_force_window(metric, seg)
+        monkeypatch.setattr(metric, "norm", None)
         lo, hi = projective._q_window(metric, seg)
         assert seg.s_min < lo and hi < seg.s_max
-        assert len(calls) < 201
+        assert (lo, hi) == expected
+
+    def test_non_finite_tail_ends_the_window(self):
+        # F is NaN past x0 = 0.5, with numpy's invalid-value warning, which
+        # is an error here: the window ends at the last finite sample
+        class NanTail(KleinMetric):
+            def _norm_impl(self, x, y):
+                return super()._norm_impl(x, y) + 0.0 * np.sqrt(0.5 - x[0])
+
+        metric = NanTail(2)
+        seg = extend_geodesic(klein_metric(2), [0.0, 0.0], [1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = projective._q_window(metric, seg)
+        step = (seg.s_max - seg.s_min) / 200
+        assert seg.s_min < lo and hi < seg.s_max
+        assert seg.position(hi)[0] <= 0.5 < seg.position(hi + step)[0]
+        assert (lo, hi) == brute_force_window(metric, seg)
 
 
 class TestInvarianceCrossCheck:
@@ -403,6 +443,23 @@ class TestInvarianceCrossCheck:
         res = invariance_cross_check(klein2, klein2, [0, 0], [1, 0],
                                      [-0.3, 0.05, 0.25, 0.5])
         assert res <= 1e-10
+
+    @pytest.mark.parametrize("x0, direction", [([0.0, 0.0], [0.0, 0.0]),
+                                               ([0.0, 0.0], [math.nan, 1.0]),
+                                               ([0.0, 0.0], [math.inf, 0.0]),
+                                               ([1.5, 0.0], [1.0, 0.0])])
+    def test_line_element_checked_first(self, klein2, eucl2, x0, direction):
+        # checked before the direction is normalized, which a zero one makes NaN
+        with pytest.raises(DomainError):
+            invariance_cross_check(klein2, eucl2, x0, direction, [-0.3, 0.05, 0.25, 0.5])
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_direction_scale_is_free(self, klein2, eucl2, scale):
+        # the direction is normalized at its power-of-two unit scale, where
+        # its squared norm neither under- nor overflows
+        probes = [-0.3, 0.05, 0.25, 0.5]
+        assert invariance_cross_check(klein2, eucl2, [0, 0], [scale, 0], probes) \
+            == invariance_cross_check(klein2, eucl2, [0, 0], [1, 0], probes)
 
     def test_probe_count_guard(self, klein2, eucl2):
         with pytest.raises(ConstructionError):
