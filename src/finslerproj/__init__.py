@@ -6,12 +6,11 @@ upper estimator for the chain pseudo-distance, plus report-style checkers
 for the associated curvature inequalities.
 """
 
-from .core import (FinslerMetric, ValidationReport, arc_length,
-                   validate_homogeneity, validate_strong_convexity)
+from .core import (FinslerMetric, ValidationReport, validate_homogeneity,
+                   validate_strong_convexity)
 from .curvature import (CurvatureData, ProjectiveFactor, RicciBoundReport,
-                        check_ricci_bound, curvature_matrix, projective_factor,
-                        ricci_scalar, ricci_scalar_batch, ricci_tensor,
-                        verify_ric_transformation, weighted_ricci)
+                        check_ricci_bound, projective_factor, ricci_scalar,
+                        ricci_scalar_batch, ricci_tensor, verify_ric_transformation)
 from .diffengine import Jet, fundamental_tensor
 from .distance import (Chain, ChainLink, CorollaryReport, PositivityReport,
                        PseudoDistanceOptions, PseudoDistanceReport, SchwarzReport,

@@ -1,5 +1,5 @@
 """Chart-level primitives: the Finsler-structure base class, which validates
-every point and vector as a float array, axiom validators, and arc length."""
+every point and vector as a float array, and axiom validators."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import integrate, interpolate
 
 from .errors import AccuracyError, ConstructionError, DomainError
 
@@ -92,9 +91,6 @@ class FinslerMetric:
         valid = np.isfinite(X).all(axis=1) & np.isfinite(size) & (size != 0.0)
         valid[valid] = [self.domain_value(x) > 0.0 for x, ok in zip(X, valid) if ok]
         return valid
-
-    def __call__(self, x, y) -> float:
-        return self.norm(x, y)
 
     def _norm_impl(self, x, y):
         raise NotImplementedError
@@ -259,18 +255,19 @@ def validate_homogeneity(metric, samples, tolerance=1e-10) -> ValidationReport:
     """Check F(x, ty) = t F(x, y) for t > 0 over the given samples.
 
     samples: iterable of (x, y, t). The recorded residual is the worst
-    relative defect |F(x, ty) - t F(x, y)| / F(x, y).
+    relative defect |F(x, ty) - t F(x, y)| / F(x, y); inf, a failure, where
+    there are no samples.
     """
     tolerance = positive_finite(tolerance, "the homogeneity tolerance")
     residuals = []
     for x, y, t in samples:
-        if t <= 0:
-            raise DomainError("homogeneity factors must be positive")
+        if not 0 < t < math.inf:  # nan fails too
+            raise DomainError(f"homogeneity factors must be positive and finite, got {t!r}")
         base = metric.norm(x, y)
         scaled = metric.norm(x, np.asarray(y, dtype=float) * t)
         residuals.append(abs(scaled - t * base) / base)
     report = ValidationReport()
-    report.add("positive-homogeneity", max(residuals, default=0.0), tolerance)
+    report.add("positive-homogeneity", max(residuals, default=math.inf), tolerance)
     return report
 
 
@@ -278,7 +275,8 @@ def validate_strong_convexity(metric, samples) -> ValidationReport:
     """Check positive-definiteness of the fundamental tensor over samples.
 
     samples: iterable of (x, y). Records the worst value of -lambda_min, so
-    the check passes exactly when every sampled tensor is positive-definite.
+    the check passes exactly when every sampled tensor is positive-definite;
+    inf, a failure, where there are no samples.
     A numeric Hessian whose one-sided mixed differences disagree beyond 1e-5
     (relative to the tensor's scale) raises AccuracyError.
     """
@@ -291,7 +289,7 @@ def validate_strong_convexity(metric, samples) -> ValidationReport:
             _check_hessian_symmetry(metric, x, y, g)
         eigs.append(float(np.linalg.eigvalsh(g)[0]))
     report = ValidationReport()
-    report.add("strong-convexity", max((-e for e in eigs), default=-1.0), 0.0)
+    report.add("strong-convexity", max((-e for e in eigs), default=math.inf), 0.0)
     return report
 
 
@@ -323,51 +321,3 @@ def _check_hessian_symmetry(metric, x, y, g):
         raise AccuracyError(
             f"numeric Hessian asymmetry {worst:.3e} exceeds 1.0e-05 x scale",
             achieved=worst)
-
-
-# ======================================================================
-# Arc length
-# ======================================================================
-
-class SampledCurve:
-    """Spline interpolant of a sampled path, exposing position and velocity."""
-
-    def __init__(self, ts, points):
-        ts = np.asarray(ts, dtype=float)
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None]
-        k = min(5, len(ts) - 1)
-        self._spline = interpolate.make_interp_spline(ts, points, k=k)
-        self._deriv = self._spline.derivative()
-        self.t_min = float(ts[0])
-        self.t_max = float(ts[-1])
-
-    def position(self, t):
-        return np.atleast_1d(self._spline(t))
-
-    def velocity(self, t):
-        return np.atleast_1d(self._deriv(t))
-
-
-def arc_length(metric, curve, t0, t1) -> float:
-    """Finsler length of the curve between parameters t0 and t1.
-
-    curve: any object with position(t) and velocity(t), such as a
-    GeodesicSegment or a SampledCurve. Adaptive quadrature of
-    F(gamma(t), gamma'(t)); nonnegative for t1 >= t0. Quadrature
-    non-convergence raises AccuracyError carrying the estimate.
-    """
-    def integrand(t):
-        v = curve.velocity(t)
-        if not np.any(v != 0.0):
-            return 0.0
-        return metric.norm(curve.position(t), v)
-
-    value, abserr, info, *rest = integrate.quad(
-        integrand, t0, t1, epsabs=1e-12, epsrel=1e-10, limit=200, full_output=True)
-    if rest:
-        raise AccuracyError(
-            f"arc-length quadrature did not converge: {rest[0]} (estimate {value!r})",
-            achieved=value)
-    return float(value)

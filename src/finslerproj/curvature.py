@@ -142,12 +142,6 @@ def ricci_scalar(metric, x, y) -> float:
     return float(ricci_scalar_batch(metric, [x], [y])[0])
 
 
-def weighted_ricci(metric, x, y) -> float:
-    """F^2 Ric, the 2-homogeneous Ricci weight entering the parameter ODE."""
-    F = metric.norm(x, y)
-    return F * F * ricci_scalar(metric, x, y)
-
-
 # ======================================================================
 # Ricci tensor
 # ======================================================================
@@ -232,41 +226,6 @@ def ricci_tensor(metric, x, y) -> CurvatureData:
     posteriori; a residual above CONTRACTION_LIMIT raises AccuracyError.
     """
     return next(_ricci_tensors(metric, [(x, y)]))
-
-
-def curvature_matrix(metric, x, y) -> np.ndarray:
-    """Cross-check path for R^i_k via horizontal derivatives.
-
-    Uses delta/delta x^k = d/dx^k - N^j_k d/dy^j with the nonlinear
-    connection N = (dG/dy)/2, applied to G^i_j / F; the trace reproduces the
-    Ricci scalar of `ricci_scalar`.
-    """
-    x, y = metric.check_line_element(x, y)
-    n = metric.dimension
-    _, H = _x_steps(metric, x)
-    X, Y = x[None], y[None]
-    hT, hX = np.array([1e-3 * _yscale(y)]), np.array([H])
-    # dG^i/dy^j at (x, y) and at the y- and x-stencil points of T = (dG^i/dy^j) / F
-    TX = np.concatenate([X, _tiled(X, n), gradient_points(X, hX)])
-    TY = np.concatenate([Y, gradient_points(Y, hT), _tiled(Y, n)])
-    hy = np.full(len(TY), 1e-4 * _yscale(y))
-    Gy = gradient_combine(spray_batch(metric, _tiled(TX, n), gradient_points(TY, hy)), hy)
-    N0 = 0.5 * Gy[0]
-    T = Gy[1:] / metric.norm_batch(TX[1:], TY[1:])[:, None, None]
-    Ty, dT = gradient_combine(T[:4 * n], hT)[0], gradient_combine(T[4 * n:], hX)[0]
-    delta = []
-    for k in range(n):
-        dTk = dT[..., k]
-        for m in range(n):
-            dTk = dTk - N0[m, k] * Ty[..., m]
-        delta.append(dTk)
-    F = metric.norm(x, y)
-    ell = y / F
-    R = np.empty((n, n))
-    for i in range(n):
-        for k in range(n):
-            R[i, k] = 0.5 * sum(ell[j] * (delta[k][i, j] - delta[j][i, k]) for j in range(n))
-    return R
 
 
 # ======================================================================
@@ -380,6 +339,7 @@ def verify_ric_transformation(metric_a, metric_b, x, y) -> float:
                           hy)[0]
     p0 = p_field(x, y)
     ga = spray_vector(metric_a, x, y)
-    lhs = weighted_ricci(metric_b, x, y) - weighted_ricci(metric_a, x, y)
+    fa, fb = metric_a.norm(x, y), metric_b.norm(x, y)
+    lhs = fb * fb * ricci_scalar(metric_b, x, y) - fa * fa * ricci_scalar(metric_a, x, y)
     law = 0.5 * (n - 1) * (float(py @ ga) - float(px @ y) + 0.5 * p0 * p0)
     return abs(lhs - law)

@@ -201,7 +201,7 @@ class GeodesicSegment:
 
     def _check_inside(self, s):
         slack = 1e-10 * max(1.0, abs(self.s_min), abs(self.s_max))
-        if s < self.s_min - slack or s > self.s_max + slack:
+        if not self.s_min - slack <= s <= self.s_max + slack:  # nan fails too
             raise DomainError(f"parameter {s} outside segment [{self.s_min}, {self.s_max}]")
 
     def state(self, s):
@@ -248,6 +248,7 @@ class GeodesicSegment:
         """The forward leg up to arc length s_end, sharing this segment's
         dense output; the state at s_end becomes the last sample."""
         s_end, fwd = float(s_end), self._forward
+        self._check_inside(s_end)
         keep = sum(s < s_end for s in fwd.t)
         return GeodesicSegment(self.metric, self._anchor, forward=_Leg(
             1.0, fwd.t[:keep] + [s_end], fwd.y[:keep] + [fwd.at(s_end)], fwd._steps, fwd.counts))

@@ -53,13 +53,11 @@ class MobiusTransform:
     def determinant(self) -> float:
         return self.a * self.d - self.b * self.c
 
-    def __call__(self, t):
-        return self.apply(t)
-
     def apply(self, t):
-        den = self.c * t + self.d
         if isinstance(t, Jet):
-            return (self.a * t + self.b) / den
+            return (self.a * t + self.b) / (self.c * t + self.d)
+        _check_finite(t)  # before c * t, whose 0 * inf warns on a numpy scalar
+        den = self.c * t + self.d
         if abs(den) < 1e-14 * (abs(self.c * t) + abs(self.d) + 1.0):
             raise PoleError(f"Moebius transform evaluated at its pole t={t}")
         return (self.a * t + self.b) / den
@@ -136,8 +134,14 @@ def _schwarzian_from_derivs(d1, d2, d3, t):
     return d3 / d1 - 1.5 * r2 * r2
 
 
+def _check_finite(t):
+    if not math.isfinite(t):
+        raise DomainError(f"the parameter t must be finite, got {t!r}")
+
+
 def _derivatives(f, t):
     """f and its first three derivatives at t, by a forward Taylor jet."""
+    _check_finite(t)
     try:
         jet = f(Jet.variable(float(t), 3))
     except (TypeError, AttributeError):
@@ -168,6 +172,7 @@ def schwarzian_fd(f, t, step=0.02) -> float:
     """Finite-difference Schwarzian for black-box callables: 9-point central
     stencils at the given step."""
     step = positive_finite(step, "the Schwarzian stencil step")
+    _check_finite(t)
     vals = np.array([float(f(t + o * step)) for o in _OFFSETS9])
     return _schwarzian_from_derivs(float(_STENCIL9[1] @ vals) / step,
                                    float(_STENCIL9[2] @ vals) / step ** 2,
@@ -257,6 +262,7 @@ class ProjectiveParameter:
     def chart_interval(self, s):
         """Maximal pole-free parameter interval containing s."""
         s = float(s)
+        self.segment._check_inside(s)
         for p in self.poles:
             if abs(s - p) < 1e-9:
                 raise ChartError(f"s={s} sits at the pole {p}")
@@ -275,6 +281,7 @@ class ProjectiveParameter:
 
     def value(self, s) -> float:
         """pi(s) = w1/w2; raises ChartError at (or numerically on) a pole."""
+        self.segment._check_inside(s)
         w1, _, w2, _ = self.basis(s)
         if abs(w2) < 1e-12 * self._w2_scale:
             nearest = min(self.poles, key=lambda p: abs(p - s)) if self.poles else s
@@ -283,6 +290,7 @@ class ProjectiveParameter:
 
     def derivative(self, s) -> float:
         """pi'(s), computed from the Wronskian identity pi' = W / w2^2."""
+        self.segment._check_inside(s)
         w1, dw1, w2, dw2 = self.basis(s)
         return float((dw1 * w2 - w1 * dw2) / (w2 * w2))
 

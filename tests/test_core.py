@@ -1,15 +1,14 @@
-"""Axiom validators, boundary room, and arc length."""
+"""Axiom validators and boundary room."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from finslerproj.core import (FinslerMetric, SampledCurve, arc_length, boundary_room,
-                              validate_homogeneity, validate_strong_convexity)
+from finslerproj.core import (FinslerMetric, boundary_room, validate_homogeneity,
+                              validate_strong_convexity)
 from finslerproj.errors import AccuracyError, ConstructionError, DomainError
-from finslerproj.metrics import interval_funk_eval, klein_metric
+from finslerproj.metrics import klein_metric
 
 
 class SquaredNormField(FinslerMetric):
@@ -93,6 +92,18 @@ class TestHomogeneity:
         with pytest.raises(DomainError, match="1.5"):
             validate_homogeneity(klein2, [([1.5, 0.0], [1.0, 0.0], 2.0)])
 
+    def test_no_samples_fails(self, klein2):
+        # a check over no samples has checked nothing, so it must not pass
+        report = validate_homogeneity(klein2, [])
+        assert not report.passed
+        assert report.checks[0].residual == math.inf
+
+    @pytest.mark.parametrize("t", [0.0, -2.0, math.inf, math.nan])
+    def test_factor_must_be_positive_and_finite(self, klein2, t):
+        # t = inf is refused before y * t, whose 0 * inf would warn
+        with pytest.raises(DomainError, match="positive and finite"):
+            validate_homogeneity(klein2, [([0.1, 0.0], [1.0, 0.0], t)])
+
     @pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0, -1.0])
     def test_tolerance_must_be_finite_and_positive(self, klein2, tolerance):
         # an infinite tolerance passed every sample; a nan one failed every sample
@@ -105,6 +116,11 @@ class TestStrongConvexity:
         report = validate_strong_convexity(eucl2, [([0.0, 0.0], [1.0, 0.0])])
         assert report.passed
         assert report.checks[0].residual == pytest.approx(-1.0, abs=1e-12)
+
+    def test_no_samples_fails(self, klein2):
+        report = validate_strong_convexity(klein2, [])
+        assert not report.passed
+        assert report.checks[0].residual == math.inf
 
     def test_klein_origin_identity(self, klein2):
         report = validate_strong_convexity(klein2, [([0.0, 0.0], [0.3, 0.4])])
@@ -136,50 +152,3 @@ class TestStrongConvexity:
         with pytest.raises(AccuracyError):
             validate_strong_convexity(NoisyMetric(), [([0.0, 0.0], [1.0, 0.5])])
 
-
-def curve(position, velocity):
-    """The curve object arc_length takes, from its two functions of t."""
-    return SimpleNamespace(position=position, velocity=velocity)
-
-
-class TestArcLength:
-    def test_euclidean_straight_segment(self, eucl2):
-        L = arc_length(eucl2, curve(lambda t: np.array([t, 0.0]),
-                                    lambda t: np.array([1.0, 0.0])), 0.0, 1.0)
-        assert L == pytest.approx(1.0, abs=1e-12)
-
-    def test_interval_funk_forward_and_back(self):
-        metric = SimpleNamespace(norm=lambda u, y: interval_funk_eval(u[0], y[0]))
-        fwd = arc_length(metric, curve(lambda t: np.array([0.5 * t]),
-                                       lambda t: np.array([0.5])), 0.0, 1.0)
-        back = arc_length(metric, curve(lambda t: np.array([0.5 - 0.5 * t]),
-                                        lambda t: np.array([-0.5])), 0.0, 1.0)
-        assert fwd == pytest.approx(math.log(2.0), abs=1e-10)
-        assert back == pytest.approx(math.log(1.5), abs=1e-10)
-
-    def test_additive_over_subranges(self, klein2):
-        pos = lambda t: np.array([0.8 * t - 0.4, 0.1])
-        vel = lambda t: np.array([0.8, 0.0])
-        whole = arc_length(klein2, curve(pos, vel), 0.0, 1.0)
-        split = (arc_length(klein2, curve(pos, vel), 0.0, 0.35)
-                 + arc_length(klein2, curve(pos, vel), 0.35, 1.0))
-        assert whole == pytest.approx(split, abs=1e-10)
-
-    def test_sampled_curve_input(self, eucl2):
-        ts = np.linspace(0.0, 1.0, 40)
-        pts = np.column_stack([ts ** 2, ts])
-        L = arc_length(eucl2, SampledCurve(ts, pts), 0.0, 1.0)
-        exact = 0.5 * (math.sqrt(5.0) + math.asinh(2.0) / 2.0)
-        assert L == pytest.approx(exact, rel=1e-6)
-
-    def test_nonconvergent_quadrature_raises(self, eucl2):
-        wobble = curve(lambda t: np.array([t, 0.0]),
-                       lambda t: np.array([1.0 + 0.5 * math.sin(3e6 * t), 0.0]))
-        with pytest.raises(AccuracyError) as info:
-            arc_length(eucl2, wobble, 0.0, 1.0)
-        assert info.value.achieved is not None
-
-    def test_sampled_curve_class(self):
-        ts = np.linspace(0, 1, 11)
-        curve = SampledCurve(ts, np.column_stack([ts, ts ** 3]))
-        assert curve.velocity(0.5)[1] == pytest.approx(0.75, abs=1e-10)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from finslerproj import curvature, geodesics
-from finslerproj.curvature import (check_ricci_bound, curvature_matrix,
-                                   projective_factor, ricci_scalar,
+from finslerproj.curvature import (check_ricci_bound, projective_factor, ricci_scalar,
                                    ricci_scalar_batch, ricci_tensor,
                                    verify_ric_transformation)
 from finslerproj.core import boundary_room
@@ -357,13 +356,6 @@ class TestRicciTensor:
         check()
 
 
-class TestCurvatureMatrix:
-    def test_trace_reproduces_ricci(self, klein2, ball2):
-        for metric, expected in ((klein2, -1.0), (ball2, -0.25)):
-            R = curvature_matrix(metric, [0.2, -0.3], [0.7, 0.4])
-            assert np.trace(R) == pytest.approx(expected, abs=1e-6)
-
-
 class TestRicciBound:
     def test_klein_passes_at_equality(self, klein2, rng):
         report = check_ricci_bound(klein2, klein2.random_line_elements(10, rng), 1.0)
@@ -501,11 +493,6 @@ class TestBlackBoxRoute:
         metric = make()
         assert ricci_scalar(metric, x, y).hex() == scalar
         assert hexes(ricci_tensor(metric, x, y).ric_tensor) == tensor
-
-    def test_curvature_matrix_pinned(self):
-        R = curvature_matrix(blackbox_klein(2), [0.3, -0.2], [0.7, 0.4])
-        assert hexes(R) == ["-0x1.c4ec4fa12e837p-3", "0x1.8c4ec5ad08b30p-2",
-                            "0x1.c7bc7bcdeb645p-2", "-0x1.8ec4ec542df7cp-1"]
 
     def test_randers_contraction_failure_pinned(self):
         with pytest.raises(AccuracyError) as err:

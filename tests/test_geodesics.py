@@ -161,12 +161,16 @@ class TestIntegration:
         assert seg.states([]).shape == (0, 4)
 
     def test_states_outside_segment_rejected(self, klein2):
+        # forward-only, so nan must not fall through to the missing backward leg
         seg = integrate_geodesic(klein2, [0.2, 0.1], [-0.5, 1.0], 1.5)
-        for ss in ([-0.1, 0.5], [0.5, 1.6]):
+        for ss in ([-0.1, 0.5], [0.5, 1.6], [0.5, math.nan]):
+            bad = ss[0] if ss[0] < 0 else ss[1]
             with pytest.raises(DomainError):
                 seg.states(ss)
             with pytest.raises(DomainError):
-                seg.state(ss[0] if ss[0] < 0 else ss[1])
+                seg.state(bad)
+            with pytest.raises(DomainError):
+                seg.clipped(bad)
 
     def test_chord_length_sums_scalar_norms(self, klein2, ball2, randers_const):
         for metric in (klein2, ball2, randers_const):

@@ -161,6 +161,19 @@ class TestSchwarzian:
         with pytest.raises(ConstructionError, match="stencil step"):
             schwarzian_fd(math.tanh, 0.3, step=step)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf,
+                                   pytest.param(np.float64(math.inf), id="numpy-inf")])
+    @pytest.mark.parametrize("call", [
+        lambda t: schwarzian(jet_tanh, t),
+        lambda t: schwarzian_fd(math.tanh, t),
+        lambda t: check_composition(jet_tanh, jet_tanh, t),
+        lambda t: MobiusTransform.identity().apply(t),
+    ], ids=["schwarzian", "schwarzian_fd", "check_composition", "apply"])
+    def test_non_finite_t_raises(self, call, t):
+        # a numpy inf is checked before c * t, whose 0 * inf would warn
+        with pytest.raises(DomainError, match="must be finite"):
+            call(t)
+
     def test_critical_point_error(self):
         with pytest.raises(CriticalPointError):
             schwarzian(lambda t: t * t if not isinstance(t, Jet) else t * t, 0.0)
@@ -187,6 +200,13 @@ class TestComposition:
     def test_identity_inner(self):
         ident = lambda t: t
         assert check_composition(jet_tanh, ident, 0.4) <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def klein_extension():
+    """pi on the maximal Klein extension through the origin along x^1."""
+    klein = klein_metric(2)
+    return projective_parameter(klein, extend_geodesic(klein, [0.0, 0.0], [1.0, 0.0]))
 
 
 class TestProjectiveParameter:
@@ -217,7 +237,16 @@ class TestProjectiveParameter:
             par.value(math.pi / 2)
         lo, hi = par.chart_interval(0.0)
         assert (lo, hi) == pytest.approx((-math.pi / 2, math.pi / 2), abs=1e-6)
-        assert not par.same_chart([0.0, 2.0])
+        with pytest.raises(DomainError):  # s = 2 lies past the segment's end at pi/2
+            par.same_chart([0.0, 2.0])
+
+    @pytest.mark.parametrize("s", [math.nan, 100.0, -100.0])
+    @pytest.mark.parametrize("method", ["value", "derivative", "chart_interval"])
+    def test_arc_length_outside_raises(self, klein_extension, method, s):
+        # pi is known only on the extension, [-14.51, 14.51]; extrapolated to
+        # s = 100, pi' is negative
+        with pytest.raises(DomainError, match="outside segment"):
+            getattr(klein_extension, method)(s)
 
     def test_normalization(self, klein2):
         seg = extend_geodesic(klein2, [0.1, 0.1], [0.5, -0.2])
