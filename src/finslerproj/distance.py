@@ -21,7 +21,7 @@ from .core import _Report, positive_finite
 from .curvature import check_ricci_bound
 from .errors import (ConstructionError, DomainError,
                      HypothesisError, InadmissibleChartError)
-from .geodesics import (EXTENSION_CAP, GeodesicSegment, connect,
+from .geodesics import (EXTENSION_CAP, GeodesicSegment, _chord_extension, connect,
                         extend_geodesic, finsler_distance)
 from .metrics import interval_funk_eval
 from .projective import MobiusTransform, ProjectiveParameter, projective_parameter
@@ -159,6 +159,8 @@ class ChainLink:
     @classmethod
     def degenerate_link(cls, point, k=1.0):
         point = np.asarray(point, dtype=float)
+        if not np.isfinite(point).all():
+            raise DomainError(f"a degenerate link needs a finite point, got {point.tolist()}")
         return cls(geodesic=None, parameter=None, base=MobiusTransform.identity(),
                    a=0.0, b=0.0, k=k, start_point=point, end_point=point)
 
@@ -289,9 +291,10 @@ def _golden_min(fn, lo, hi, iterations):
 def _line(metric, x, y):
     """The geodesic segment from x to y, its maximal extension and its
     projective parameter normalized at x."""
-    seg = connect(metric, x, y).segment
-    cap = max(EXTENSION_CAP, seg.length + 1.0)
-    ext = extend_geodesic(metric, x, seg.velocity(0.0), cap=cap)
+    seg, ext = _chord_extension(metric, x, y) or (connect(metric, x, y).segment, None)
+    if ext is None:  # the chord's geodesic missed y, as off projectively flat metrics
+        cap = max(EXTENSION_CAP, seg.length + 1.0)
+        ext = extend_geodesic(metric, x, seg.velocity(0.0), cap=cap)
     return seg, ext, projective_parameter(metric, ext)
 
 
@@ -370,15 +373,15 @@ def pseudo_distance_upper(metric, x, y, options: PseudoDistanceOptions | None = 
                           ) -> PseudoDistanceReport:
     """Upper estimate of the chain pseudo-distance from x to y.
 
-    Builds the single-segment chain through the connecting geodesic and
-    minimizes the interval Funk length over the admissible chart family
-    (hyperbolic translations of the interval plus the orientation swap) by
-    golden-section search. With segments=m it also splits the geodesic at
-    m - 1 equally spaced waypoints, for every m up to the requested depth,
-    and searches each sub-link on the same extension and projective
-    parameter; the smallest total wins. The result over-estimates the chain
-    infimum by construction. Increasing the budget never increases the
-    estimate.
+    Builds the single-segment chain on the maximal extension of the geodesic
+    from x to y and minimizes the interval Funk length over the admissible
+    chart family (hyperbolic translations of the interval plus the
+    orientation swap) by golden-section search. With segments=m it also
+    splits the geodesic at m - 1 equally spaced waypoints, for every m up to
+    the requested depth, and searches each sub-link on the same extension
+    and projective parameter; the smallest total wins. The result
+    over-estimates the chain infimum by construction. Increasing the budget
+    never increases the estimate.
     """
     options = options or PseudoDistanceOptions()
     x = metric.check_point(x)

@@ -399,6 +399,20 @@ def extend_geodesic(metric, x0, y0, *, cap=EXTENSION_CAP) -> GeodesicSegment:
     return GeodesicSegment(metric, z0, forward=fwd, backward=back, truncated=(tb, tf))
 
 
+def _chord_extension(metric, x, y):
+    """(segment x to y, extend_geodesic(metric, x, y - x)) if the forward leg passes within
+    connect's default tol of y at 0 < s <= EXTENSION_CAP - 1; else None, backward leg unrun."""
+    z0 = _unit_state(metric, x, y - x)
+    fwd, tf = _solve_leg(metric, z0, EXTENSION_CAP, EXTENSION_MARGIN, escape_as_truncation=True)
+    ray = GeodesicSegment(metric, z0, forward=fwd)
+    s, miss = _closest_approach(ray, y)
+    if not (miss <= 1e-8 and 0.0 < s and s + 1.0 <= EXTENSION_CAP):
+        return None
+    back, tb = _solve_leg(metric, z0, -EXTENSION_CAP, EXTENSION_MARGIN, escape_as_truncation=True)
+    ext = GeodesicSegment(metric, z0, forward=fwd, backward=back, truncated=(tb, tf))
+    return ray.clipped(s), ext
+
+
 # ======================================================================
 # Boundary-value solving and distance
 # ======================================================================

@@ -214,20 +214,27 @@ class ProjectiveParameter:
         self._breaks = breaks   # (P + 1,) piece ends
         self._widths = np.diff(breaks)
         self._coefs = coefs     # (P, 4, M): basis rows in powers of the local u in [0, 1]
-        self._w2_scale = max(1.0, float(np.abs(self.basis(self.s_grid)[2]).max()))
+        self._w2_scale = max(1.0, float(np.abs(self._basis(self.s_grid)[2]).max()))
         # a piece holds at most one zero of w2, so sign changes find them all
-        w2 = self.basis(breaks)[2]
+        w2 = self._basis(breaks)[2]
         self.poles = []
         for a, b, fa, fb in zip(breaks, breaks[1:], w2, w2[1:]):
             if fa == 0.0:
                 self.poles.append(float(a))
             elif fa * fb < 0.0:
-                self.poles.append(_root(lambda s: self.basis(s)[2], a, b))
+                self.poles.append(_root(lambda s: self._basis(s)[2], a, b))
+        self._chart_ends = {}  # (lo, hi) -> that chart's piece ends and basis there
 
     # -- raw solutions ----------------------------------------------------
 
     def basis(self, s):
-        """(w1, w1', w2, w2') at s; a (4, N) array for an array of N values."""
+        """(w1, w1', w2, w2') at s in the segment; a (4, N) array for N values."""
+        for end in (np.min(s, initial=0.0), np.max(s, initial=0.0)):  # 0 is inside; nan fails
+            self.segment._check_inside(float(end))
+        return self._basis(s)
+
+    def _basis(self, s):
+        """basis(s), unchecked."""
         ss = np.asarray(s, dtype=float)
         flat = np.atleast_1d(ss)
         x = self._breaks
@@ -245,7 +252,7 @@ class ProjectiveParameter:
         bilinear form w1' w2 - w1 w2' sits on the floating-point
         cancellation floor and conservation is no longer observable.
         """
-        w = self.basis(np.linspace(self.s_min, self.s_max, 200))
+        w = self._basis(np.linspace(self.s_min, self.s_max, 200))
         drift = np.abs(w[1] * w[2] - w[0] * w[3] - 1.0)
         return float(drift[np.abs(w).max(axis=0) <= 1e3].max(initial=0.0))
 
@@ -282,7 +289,7 @@ class ProjectiveParameter:
     def value(self, s) -> float:
         """pi(s) = w1/w2; raises ChartError at (or numerically on) a pole."""
         self.segment._check_inside(s)
-        w1, _, w2, _ = self.basis(s)
+        w1, _, w2, _ = self._basis(s)
         if abs(w2) < 1e-12 * self._w2_scale:
             nearest = min(self.poles, key=lambda p: abs(p - s)) if self.poles else s
             raise ChartError(f"pi evaluated at the pole near s={nearest}")
@@ -291,7 +298,7 @@ class ProjectiveParameter:
     def derivative(self, s) -> float:
         """pi'(s), computed from the Wronskian identity pi' = W / w2^2."""
         self.segment._check_inside(s)
-        w1, dw1, w2, dw2 = self.basis(s)
+        w1, dw1, w2, dw2 = self._basis(s)
         return float((dw1 * w2 - w1 * dw2) / (w2 * w2))
 
     def chart_range(self, s):
@@ -318,18 +325,21 @@ class ProjectiveParameter:
         The root of w1 - target w2, which stays finite at pole ends, on the
         piece where it changes sign.
         """
-        lo, hi = self.chart_interval(s_hint)
-        x = self._breaks
-        ends = np.concatenate([[lo], x[(x > lo) & (x < hi)], [hi]])
-        w = self.basis(ends)
-        g = w[0] - target * w[2]
-        change = np.flatnonzero(g[:-1] * g[1:] <= 0.0)
-        if change.size == 0:
+        lo, hi = chart = self.chart_interval(s_hint)
+        if chart not in self._chart_ends:
+            x = self._breaks
+            ends = np.concatenate([[lo], x[(x > lo) & (x < hi)], [hi]])
+            self._chart_ends[chart] = ends, self._basis(ends)
+        ends, w = self._chart_ends[chart]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite g is out of range
+            g = w[0] - target * w[2]
+            change = np.flatnonzero(g[:-1] * g[1:] <= 0.0)
+        if change.size == 0 or not np.isfinite(g).all():
             raise ChartError(f"target {target} outside the chart range")
         j = int(change[0])
 
         def f(s):
-            w1, _, w2, _ = self.basis(s)
+            w1, _, w2, _ = self._basis(s)
             return float(w1 - target * w2)
 
         return _root(f, ends[j], ends[j + 1])
@@ -370,6 +380,12 @@ def _q_window(metric, segment):
     while b < len(ss) - 1 and healthy[b + 1]:
         b += 1
     return float(ss[a]), float(ss[b])
+
+
+def _piece_starts(base, splits):
+    """Each piece's np.linspace(a, b, m, endpoint=False), concatenated, in one pass."""
+    j = np.arange(splits.sum()) - np.repeat(np.cumsum(splits) - splits, splits)
+    return j * np.repeat(np.diff(base) / splits, splits) + np.repeat(base[:-1], splits)
 
 
 # degree of the power series of w on each piece; with h sqrt(max|q| / 2) <= 1
@@ -422,8 +438,7 @@ def projective_parameter(metric, segment: GeodesicSegment, *, s0=0.0,
     if not np.all(np.isfinite(bound)):  # a span too short for the q spline, say
         raise DomainError(f"q has no finite bound on the pieces of [{lo!r}, {hi!r}]")
     splits = np.maximum(1, np.ceil(h * np.sqrt(0.5 * bound))).astype(int)
-    breaks = np.concatenate([np.linspace(a, b, m, endpoint=False)
-                             for a, b, m in zip(base, base[1:], splits)] + [[hi]])
+    breaks = np.append(_piece_starts(base, splits), hi)
 
     # unit solutions (w, w') = (1, 0) and (0, 1) at each piece start, in u
     h = np.diff(breaks)

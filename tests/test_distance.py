@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from finslerproj import distance
+from finslerproj import distance, geodesics
 from finslerproj.cli import dump_json
 from finslerproj.distance import (Chain, ChainLink, PseudoDistanceOptions, corollary_check,
                                   funk_distance_interval, positivity_probe,
                                   pseudo_distance_upper, schwarz_ratio)
-from finslerproj.errors import (ConstructionError, DomainError, HypothesisError,
-                                InadmissibleChartError)
+from finslerproj.errors import (ConnectivityError, ConstructionError, DomainError,
+                                HypothesisError, InadmissibleChartError)
 from finslerproj.metrics import funk_ball, interval_funk_eval, klein_metric
 
+from test_geodesics import poincare_disk
 from test_projective import SphereMetric
 
 
@@ -106,6 +107,12 @@ class TestChains:
         chain = Chain(links=[first, second],
                       waypoints=[link.start_point, mid_point, link.end_point])
         assert chain.length == pytest.approx(link.funk_length, abs=1e-10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_degenerate_link_needs_a_finite_point(self, bad):
+        # a nan coordinate used to end in an AttributeError, an infinite one built a link
+        with pytest.raises(DomainError, match="finite point"):
+            ChainLink.degenerate_link([bad, 0.2])
 
     def test_waypoint_mismatch_rejected(self, klein2):
         link = ChainLink.degenerate_link(np.array([0.1, 0.2]))
@@ -219,21 +226,50 @@ class TestPseudoDistance:
         lo, hi = info.value.attainable_range
         assert lo == pytest.approx(-0.2776, abs=1e-4) and hi == math.inf
 
-    def test_subdivision_reuses_the_parent_line(self, klein2, monkeypatch):
-        calls = []
-        for name in ("connect", "extend_geodesic", "projective_parameter"):
-            original = getattr(distance, name)
+    @staticmethod
+    def count_calls(monkeypatch, names, calls):
+        for module, name in names:
+            original = getattr(module, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
                 calls.append(_name)
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(distance, name, counting)
+            monkeypatch.setattr(module, name, counting)
+
+    def test_subdivision_reuses_the_parent_line(self, klein2, monkeypatch):
+        calls = []
+        self.count_calls(monkeypatch, [(distance, "connect"), (distance, "extend_geodesic"),
+                                       (distance, "projective_parameter"),
+                                       (geodesics, "_solve_leg")], calls)
         report = pseudo_distance_upper(klein2, [0.1, 0.2], [-0.3, 0.4],
                                        PseudoDistanceOptions(budget=12, segments=4))
-        assert sorted(calls) == ["connect", "extend_geodesic", "projective_parameter"]
+        # the chord's extension reaches y on Klein: one integration each way
+        # from x, no connect
+        assert sorted(calls) == ["_solve_leg", "_solve_leg", "projective_parameter"]
         for link in report.chain.links:
             assert link.parameter is report.canonical_chain.links[0].parameter
+
+    def test_missed_chord_falls_back_to_connect(self, monkeypatch):
+        # the Poincare geodesic along the chord from (0.3, 0.1) misses (-0.2, 0.4):
+        # its forward leg is thrown away, its backward leg never integrated, and
+        # the line is built as before the chord was tried, to the bit
+        calls = []
+        self.count_calls(monkeypatch, [(distance, "connect"), (distance, "extend_geodesic"),
+                                       (geodesics, "_solve_leg")], calls)
+        report = pseudo_distance_upper(poincare_disk(), [0.3, 0.1], [-0.2, 0.4],
+                                       PseudoDistanceOptions(budget=12))
+        assert calls[:2] == ["_solve_leg", "connect"]
+        assert [c for c in calls if c != "_solve_leg"] == ["connect", "extend_geodesic"]
+        assert report.geodesic_distance == 1.2842718182198731
+        assert report.canonical_value == 1.949248111522469
+
+    @pytest.mark.parametrize("make", [lambda: klein_metric(2), poincare_disk],
+                             ids=["klein2", "poincare"])
+    def test_pair_too_close_for_connect(self, make):
+        # one ulp apart, the chord's closest approach sits at s = 0 as connect's does
+        with pytest.raises(ConnectivityError, match="too close: the closest approach sits"):
+            pseudo_distance_upper(make(), [0.1, 0.2], [math.nextafter(0.1, 1.0), 0.2])
 
     def test_cap_bound_flag(self, klein2):
         # the Funk chart search runs into its reach +-TAU_MAX on this pair
@@ -263,10 +299,10 @@ class TestPseudoDistance:
 
     @pytest.mark.parametrize("make, x, y, canonical, geodesic", [
         (lambda: klein_metric(2), [0.1, 0.2], [-0.3, 0.4],
-         "0x1.3a616c4bf1e97p-1", "0x1.fbbae56a06d88p-2"),
+         "0x1.3a616c4bf1eb4p-1", "0x1.fbbae56a06d8bp-2"),
         (lambda: funk_ball(3), [0.1, 0.2, 0.0], [-0.3, 0.4, 0.0],
-         "0x1.69e67a3802cf0p-2", "0x1.3a616c4beb124p-1"),
-    ])
+         "0x1.69e67a3802b58p-2", "0x1.3a616c4beadefp-1"),
+    ], ids=["klein2", "funk_ball3"])
     def test_pinned_values(self, make, x, y, canonical, geodesic):
         # float.hex values frozen from the closed forms on floats; the Klein pair
         # from its one spray formula, the jet closed form

@@ -240,13 +240,18 @@ class TestProjectiveParameter:
         with pytest.raises(DomainError):  # s = 2 lies past the segment's end at pi/2
             par.same_chart([0.0, 2.0])
 
-    @pytest.mark.parametrize("s", [math.nan, 100.0, -100.0])
-    @pytest.mark.parametrize("method", ["value", "derivative", "chart_interval"])
+    @pytest.mark.parametrize("s", [math.nan, math.inf, 1e300, 100.0, -100.0])
+    @pytest.mark.parametrize("method", ["value", "derivative", "chart_interval", "basis"])
     def test_arc_length_outside_raises(self, klein_extension, method, s):
         # pi is known only on the extension, [-14.51, 14.51]; extrapolated to
-        # s = 100, pi' is negative
+        # s = 100, pi' is negative. basis gave NaNs at nan and warned at inf
         with pytest.raises(DomainError, match="outside segment"):
             getattr(klein_extension, method)(s)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -100.0])
+    def test_basis_checks_every_arc_length_of_an_array(self, klein_extension, s):
+        with pytest.raises(DomainError, match="outside segment"):
+            klein_extension.basis([0.0, s, 1.0])
 
     def test_normalization(self, klein2):
         seg = extend_geodesic(klein2, [0.1, 0.1], [0.5, -0.2])
@@ -300,6 +305,29 @@ class TestProjectiveParameter:
         s = par.solve_value(0.5, 0.0)
         assert s == pytest.approx(math.atanh(0.5), abs=1e-9)
 
+    @pytest.mark.parametrize("target", [1e300, -1e300, 1e160, math.inf, math.nan, 2.0])
+    def test_solve_value_outside_the_range(self, klein_extension, target):
+        # pi = tanh s spans (-1, 1); 1e300 overflowed w1 - target w2, 1e160 its products
+        with pytest.raises(ChartError, match="outside the chart range"):
+            klein_extension.solve_value(target, 0.0)
+
+    def test_repeated_solve_value_equals_a_fresh_parameter(self, monkeypatch):
+        # each chart's piece ends and basis are kept after the first call;
+        # q = 18 puts poles at pi/6 + j pi/3, so the three hints sit in three charts
+        monkeypatch.setattr(projective, "ricci_scalar_batch",
+                            lambda metric, X, Y: np.full(len(X), 9.0))
+        eucl = EuclideanMetric(2)
+        seg = extend_geodesic(eucl, [0.0, 0.0], [1.0, 0.0], cap=3.0)
+
+        def build():
+            return projective_parameter(eucl, seg, q_step=4.0)
+
+        calls = [(t, hint) for hint in (-1.0, 0.0, 1.0) for t in (-3.0, -0.4, 0.0, 0.7, 5.0)]
+        par = build()
+        kept = [par.solve_value(t, hint).hex() for _ in range(2) for t, hint in calls]
+        assert len(par._chart_ends) == 3
+        assert kept == 2 * [build().solve_value(t, hint).hex() for t, hint in calls]
+
 
 def warped_klein():
     """The black-box Klein tensor times 1 + 0.3 x0: q varies along geodesics."""
@@ -313,6 +341,24 @@ def warped_klein():
 
 
 class TestPiecewiseSeries:
+    def test_piece_starts_equal_per_piece_linspace(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, derandomize=True, deadline=None,
+                             database=None)
+        @hypothesis.given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=12, unique=True),
+                          st.lists(st.integers(1, 40), min_size=11, max_size=11))
+        def check(base, splits):
+            base = np.array(sorted(base))
+            splits = np.array(splits[:base.size - 1])
+            per_piece = np.concatenate([np.linspace(a, b, m, endpoint=False)
+                                        for a, b, m in zip(base, base[1:], splits)])
+            assert [v.hex() for v in projective._piece_starts(base, splits).tolist()] == \
+                [v.hex() for v in per_piece.tolist()]
+
+        check()
+
     @pytest.mark.parametrize("metric, w", [(klein_metric(2), 1.0), (funk_ball(2), 0.5)])
     def test_constant_curvature_basis_is_closed_form(self, metric, w):
         # q = -2 w^2: w1 = sinh(w s) / w, w2 = cosh(w s), over the whole
