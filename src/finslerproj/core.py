@@ -76,20 +76,23 @@ class FinslerMetric:
     def _norm_rows(self, X, Y) -> np.ndarray:
         """norm_batch's values on (N, n) float stacks whose rows
         valid_line_elements accepts, without validating them again."""
-        if not self.closed_form:
-            return np.array([float(self._norm_impl(x, y)) for x, y in zip(X, Y)], dtype=float)
-        values = self._norm_impl(list(X.T), list(Y.T))
+        with np.errstate(all="ignore"):  # inf and nan pass silently, as on Python floats
+            if not self.closed_form:
+                return np.array([float(self._norm_impl(x, y)) for x, y in zip(X, Y)], dtype=float)
+            values = self._norm_impl(list(X.T), list(Y.T))
         return np.broadcast_to(np.asarray(values, dtype=float), (len(X),)).copy()
 
     def valid_line_elements(self, X, Y) -> np.ndarray:
         """Mask of the rows of the (N, n) stacks X, Y that check_line_element
-        accepts: its finiteness and nonzero tests as reductions over the
-        stack, its domain test row by row, exactly as check_point makes it."""
+        accepts: its finiteness and nonzero tests as reductions over the stack,
+        its domain test on the stack of finite rows for a closed form, else row by row."""
         if X.shape[1:] != (self.dimension,):
             return np.zeros(len(X), dtype=bool)
         size = np.abs(Y).max(axis=1)
         valid = np.isfinite(X).all(axis=1) & np.isfinite(size) & (size != 0.0)
-        valid[valid] = [self.domain_value(x) > 0.0 for x, ok in zip(X, valid) if ok]
+        with np.errstate(over="ignore", invalid="ignore"):  # as in check_point
+            valid[valid] = (self.domain_value(X[valid]) > 0.0 if self.closed_form else
+                            [self.domain_value(x) > 0.0 for x in X[valid]])
         return valid
 
     def _norm_impl(self, x, y):
@@ -98,7 +101,8 @@ class FinslerMetric:
     # -- domain ------------------------------------------------------------
 
     def domain_value(self, x) -> float:
-        """phi(x); positive inside the domain. Unbounded metrics return +inf."""
+        """phi(x); positive inside the domain. Unbounded metrics return +inf. A closed
+        form also takes an (N, n) stack: its rows' values, bit for bit, or one for all."""
         return math.inf
 
     @property
@@ -112,7 +116,9 @@ class FinslerMetric:
                 f"{self.name}: point dimension {x.shape} does not match n={self.dimension}")
         if not np.all(np.isfinite(x)):
             raise DomainError(f"{self.name}: point has non-finite coordinates")
-        if not self.domain_value(x) > 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):  # a far point's phi overflows
+            inside = self.domain_value(x) > 0.0
+        if not inside:
             raise DomainError(f"{self.name}: point {x.tolist()} outside the domain")
         return x
 

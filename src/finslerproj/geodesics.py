@@ -126,13 +126,14 @@ _STAGES = [(s, row[:s].copy()) for rows, first in ((_DOP.A[1:], 1), (_DOP.A_EXTR
 _EPS = np.finfo(float).eps
 
 
-def _horner(step, s):
+def _horner(step, s, count=None):
     """A step's interpolant at s: scipy's nested x, 1 - x form over its seven
     rows, on floats, or column by column where `step` is an array with one
-    step per column and s one value each. A step is [start, h, y0..., rows...]."""
+    step per column and s one value each. A step is [start, h, y0..., rows...].
+    Only the first `count` state components, if given, are evaluated."""
     x, m = (s - step[0]) / step[1], (len(step) - 2) // 8
     w, out = (x, 1 - x) * 3 + (x,), []  # w[i]: the factor after row i
-    for j in range(2, 2 + m):
+    for j in range(2, 2 + (m if count is None else count)):
         acc = 0.0
         for i in range(6, -1, -1):
             acc = (acc + step[j + m * (i + 1)]) * w[i]
@@ -348,7 +349,7 @@ def _solve_leg(metric, z0, s_end, margin, escape_as_truncation=False):
         if threshold is not None:
             g_new = gap(y)
             if g <= 0 <= g_new or g >= 0 >= g_new:  # scipy's terminal event, either direction
-                t = optimize.brentq(lambda s: gap(_horner(step, s)), step[0], t,
+                t = optimize.brentq(lambda s: gap(_horner(step, s, n)), step[0], t,
                                     xtol=4 * _EPS, rtol=4 * _EPS)
                 y, status = _horner(step, t), 1
             g = g_new
@@ -481,8 +482,9 @@ def connect(metric, x, y, tol=1e-8) -> BVPResult:
     L0 = _chord_length(metric, x, y)
     L_max = 1.5 * L0 + 0.25
 
-    # orthonormal basis of the chord's complement parametrizes the search
-    basis = np.linalg.qr(np.column_stack([chord] + list(np.eye(n))))[0][:, 1:n]
+    # an orthonormal basis of the chord's complement parametrizes the search;
+    # the chord shot needs none (zeros @ 0 is +0.0, as the basis @ 0 is)
+    basis = np.zeros((n, n - 1))
     evals = 0
 
     def shoot(u):
@@ -528,6 +530,8 @@ def connect(metric, x, y, tol=1e-8) -> BVPResult:
 
     # the straight chord already hits on projectively flat metrics
     residual(np.zeros(n - 1))
+    if not hit():
+        basis = np.linalg.qr(np.column_stack([chord] + list(np.eye(n))))[0][:, 1:n]
     for start in ([np.zeros(n - 1)] +
                   [0.1 * e for e in np.eye(n - 1)] + [-0.1 * e for e in np.eye(n - 1)]):
         if hit():

@@ -27,10 +27,6 @@ def _dot(u, v):
     return acc
 
 
-def _mat_vec(m, v):
-    return [_dot(row, v) for row in m]
-
-
 # ======================================================================
 # Euclidean
 # ======================================================================
@@ -121,13 +117,22 @@ class KleinMetric(RiemannianMetric):
         super().__init__(RiemannianSpec(dimension=dimension, metric_provider=g, name="klein",
                                         domain_provider=lambda x: 1.0 - float(x @ x)))
 
+    def domain_value(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return 1.0 - float(np.dot(x, x))  # np.dot: the bits of x @ x, sooner
+        return 1.0 - (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
     def _spray_impl(self, x, y):
-        phi = 1.0 - _dot(x, x)
+        xx, xy = x[0] * x[0], x[0] * y[0]  # _dot(x, x) and _dot(x, y) in one pass
+        for i in range(1, len(x)):
+            xx, xy = xx + x[i] * x[i], xy + x[i] * y[i]
+        phi = 1.0 - xx
         if isinstance(phi, float) and phi <= 0.0:
             # a trial stage on or past the sphere: NaN makes the integrator
             # reject the step and shrink it instead of raising
             return [math.nan] * len(y)
-        p = 2.0 * _dot(x, y) / phi
+        p = 2.0 * xy / phi
         return [p * yi for yi in y]
 
     def _norm_impl(self, x, y):
@@ -181,6 +186,7 @@ class QuadraticDomainSpec:
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "k", positive_finite(self.k, "the Funk constant k"))
+        object.__setattr__(self, "_beta2", 2.0 * b)  # phi's 2 beta, held once
         if np.linalg.eigvalsh(-a)[0] < -1e-12:
             warnings.warn("-alpha is not positive semidefinite; the domain may "
                           "not be strictly convex", stacklevel=2)
@@ -190,8 +196,12 @@ class QuadraticDomainSpec:
         return self.alpha.shape[0]
 
     def phi(self, x):
+        """phi at one point, or its rows' values, bit for bit, on an (N, n) stack."""
         x = np.asarray(x, dtype=float)
-        return float(x @ self.alpha @ x + 2.0 * self.beta @ x + self.gamma)
+        if x.ndim == 1:  # np.dot: the bits of x @ alpha @ x + 2 beta @ x, sooner
+            return float(np.dot(np.dot(x, self.alpha), x) + np.dot(self._beta2, x) + self.gamma)
+        r = x[:, None, :]
+        return ((r @ self.alpha) @ x[:, :, None] + r @ self._beta2[:, None])[:, 0, 0] + self.gamma
 
     def center(self):
         """Critical point of phi (the ellipsoid center when -alpha > 0)."""
@@ -205,13 +215,21 @@ def _funk_theta(alpha, beta, gamma, x, y):
     For wy > 0 the difference of nearly equal square roots is rationalized to
     -(y alpha y) / (sqrt + wy), which stays accurate down to the boundary.
     Entries that are (N,) arrays, or Dual2 numbers over them, evaluate N line
-    elements at once, each element taking its own branch.
+    elements at once, each element taking its own branch. The sums x alpha x,
+    beta x, w y and y alpha y run in one pass over the rows of alpha, each
+    left to right in _dot's operand order, so each has the bits of its _dot.
     """
-    ax = _mat_vec(alpha, x)
-    p = _dot(x, ax) + 2.0 * _dot(beta, x) + gamma
-    w = [wi + bi for wi, bi in zip(ax, beta)]
-    wy = _dot(w, y)
-    ayy = _dot(y, _mat_vec(alpha, y))
+    n = len(x)
+    for i in range(n):
+        row, xi, yi, bi = alpha[i], x[i], y[i], beta[i]
+        axi, ayi = row[0] * x[0], row[0] * y[0]
+        for j in range(1, n):
+            axi, ayi = axi + row[j] * x[j], ayi + row[j] * y[j]
+        if i:
+            xax, bx, wy, ayy = xax + xi * axi, bx + bi * xi, wy + (axi + bi) * yi, ayy + yi * ayi
+        else:
+            xax, bx, wy, ayy = xi * axi, bi * xi, (axi + bi) * yi, yi * ayi
+    p = xax + 2.0 * bx + gamma
     radicand = wy * wy - ayy * p
     r0 = jet_value(radicand)
     batch = isinstance(r0, np.ndarray)
@@ -372,15 +390,12 @@ class RandersMetric(FinslerMetric):
         self.name = spec.name
         # constant a and b only: providers may be float-only
         self.closed_form = not callable(spec.a_provider) and not callable(spec.b_provider)
+        if self.closed_form:  # as Python floats, which overflow to inf without a warning
+            self._a, self._b = spec.a_at(None).tolist(), spec.b_at(None).tolist()
 
     def _norm_impl(self, x, y):
-        if self.closed_form:
-            a = self.spec.a_at(None)
-            b = self.spec.b_at(None)
-        else:
-            a = self.spec.a_provider(x)
-            b = self.spec.b_provider(x)
-        return smooth_sqrt(_dot(y, _mat_vec(a, y))) + _dot(b, y)
+        a, b = (self._a, self._b) if self.closed_form else (self.spec.a_at(x), self.spec.b_at(x))
+        return smooth_sqrt(_dot(y, [_dot(row, y) for row in a])) + _dot(b, y)
 
     def metric_tensor(self, x, y):
         x = np.asarray(x, dtype=float)

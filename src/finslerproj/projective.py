@@ -367,8 +367,7 @@ def _q_window(metric, segment):
     states = segment.states(ss)
     X, V = states[:, :n], states[:, n:]
     healthy = metric.valid_line_elements(X, V)
-    with np.errstate(all="ignore"):
-        healthy[healthy] = np.abs(metric._norm_rows(X[healthy], V[healthy]) - 1.0) <= WINDOW_DRIFT
+    healthy[healthy] = np.abs(metric._norm_rows(X[healthy], V[healthy]) - 1.0) <= WINDOW_DRIFT
     if metric.bounded_domain and not metric.closed_form:
         threshold = WINDOW_MARGIN * metric.domain_scale
         healthy[healthy] = [metric.domain_value(x) >= threshold for x in X[healthy]]

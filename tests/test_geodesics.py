@@ -296,6 +296,21 @@ class TestStepper:
         # the rejected step's three dense-output calls come on top
         assert seg.nfev == 2 * 2 + 12 * (seg.steps + seg.rejected) + 3 * (seg.steps + 1)
 
+    def test_horner_count_gives_the_leading_components(self, klein3):
+        seg = extend_geodesic(klein3, [0.1, 0.2, -0.1], [0.3, -0.4, 0.2])
+        for step in seg._forward._steps[::4] + seg._backward._steps[::4]:
+            for s in np.linspace(step[0], step[0] + step[1], 5).tolist():
+                full = [v.hex() for v in geodesics._horner(step, s)]
+                for count in (1, 3):
+                    assert [v.hex() for v in geodesics._horner(step, s, count)] == full[:count]
+
+    def test_klein_extension_ends_are_pinned(self, klein2):
+        # both boundary stops are brentq roots of phi on the step interpolant's
+        # positions; these bits were frozen before the search skipped the velocities
+        seg = extend_geodesic(klein2, [0.1, 0.2], [0.3, -0.4])
+        assert (seg.s_min.hex(), seg.s_max.hex()) == ("-0x1.cc55d2348d5ecp+3",
+                                                      "0x1.d1f737856f2efp+3")
+
     def test_nan_step_fails_instead_of_looping(self, klein2, monkeypatch):
         # tol = 0 makes the error scale 0 at a zero component: the first step
         # is NaN, on which scipy's loop never ends
@@ -441,6 +456,30 @@ class TestConnect:
         assert result.iterations > 1
         assert len(directions) == result.iterations
         assert len(set(directions)) == len(directions)
+
+    @pytest.mark.parametrize("make", [lambda: klein_metric(2), lambda: funk_ball(2)])
+    @pytest.mark.parametrize("target", [[0.5, 0.0], [0.5, -0.0]])
+    def test_chord_hit_builds_no_basis(self, make, target, monkeypatch):
+        # the shot along the chord is dir0 + basis @ 0, and basis @ 0 is +0.0
+        # in every entry: the chord's exact zero component, of either sign,
+        # starts the shot as +0.0 without the basis being built
+        metric, x, y = make(), np.zeros(2), np.array(target)
+        chord = y - x
+        basis = np.linalg.qr(np.column_stack([chord] + list(np.eye(2))))[0][:, 1:2]
+        d = chord / metric.norm(x, chord) + basis @ np.zeros(1)
+        expected = geodesics._unit_state(metric, x, d / metric.norm(x, d))
+        monkeypatch.setattr(np.linalg, "qr", None)
+        result = connect(metric, x, y)
+        assert result.iterations == 1 and not np.signbit(expected[3])
+        assert [v.hex() for v in result.segment._anchor.tolist()] == \
+            [v.hex() for v in expected.tolist()]
+
+    def test_chord_miss_builds_the_basis_once(self, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a) or qr(a))
+        assert connect(poincare_disk(), [0.3, 0.1], [-0.2, 0.4]).iterations > 1
+        assert len(calls) == 1
 
     def test_solver_path_ends_at_target(self):
         metric = poincare_disk()

@@ -8,8 +8,9 @@ import pytest
 from scipy import integrate
 
 from finslerproj.core import validate_homogeneity, validate_strong_convexity
+from finslerproj.diffengine import Dual2, jet_value, jet_where, smooth_sqrt
 from finslerproj.distance import funk_distance_interval
-from finslerproj.errors import ConstructionError, DomainError
+from finslerproj.errors import ConstructionError, DomainError, FinslerError
 from finslerproj.metrics import (EuclideanMetric, KleinMetric,
                                  QuadraticDomainSpec, QuadraticFunkMetric, RandersSpec,
                                  RiemannianMetric, RiemannianSpec, _funk_theta, funk_ball,
@@ -190,6 +191,12 @@ class TestRanders:
         with pytest.raises(ConstructionError, match=r"positive-definite matrix at x=\["):
             randers_metric(RandersSpec(2, lambda x: -np.eye(2), lambda x: np.zeros(2)))
 
+    def test_constant_a_with_a_one_form_field(self):
+        # the constant a is read as an array, not called as a provider
+        metric = randers_metric(RandersSpec(2, np.eye(2), lambda x: 0.2 * np.array([-x[1], x[0]])))
+        assert not metric.closed_form
+        assert metric.norm([0.1, 0.2], [1.0, 0.0]) == pytest.approx(0.96, abs=1e-15)
+
     def test_position_dependent_one_form(self):
         spec = RandersSpec(
             2, lambda x: np.eye(2), lambda x: 0.2 * np.array([-x[1], x[0]]),
@@ -267,6 +274,57 @@ class TestNormBatch:
         assert [v.hex() for v in metric.norm_batch(X, Y).tolist()] == \
             [metric.norm(x, y).hex() for x, y in elements]
 
+    def test_stack_checks_agree_with_the_row_checks(self):
+        # rows on the boundary or an ulp from it, non-finite, zero, huge and
+        # tiny: the stack's mask and first error are the rows' own, and no
+        # RuntimeWarning escapes (warnings are errors in this suite)
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        metrics = closed_form_metrics()
+        special = st.sampled_from([0.0, -0.0, 1e-300, 1e200, -1e200, math.inf, -math.inf,
+                                   math.nan])
+
+        @st.composite
+        def element(draw, metric):
+            n = metric.dimension
+            entries = st.lists(special | st.floats(-2.0, 2.0), min_size=n, max_size=n)
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            x = boundary_point(metric, rng.normal(size=n))
+            kind = draw(st.sampled_from(["inside", "boundary", "entries"]))
+            if kind == "inside" or (kind == "boundary" and x is None):
+                x = metric.random_interior_point(rng)
+            elif kind == "boundary":
+                x = x + draw(st.sampled_from([-1, 0, 1])) * np.spacing(x)
+            else:
+                x = np.array(draw(entries))
+            return x, np.array(draw(entries))
+
+        def outcome(run):
+            try:
+                return run()
+            except FinslerError as exc:
+                return type(exc).__name__, str(exc)
+
+        @hypothesis.settings(max_examples=300, derandomize=True, deadline=None,
+                             database=None)
+        @hypothesis.given(st.sampled_from(sorted(metrics)).flatmap(
+            lambda name: st.tuples(st.just(name), st.lists(element(metrics[name]), max_size=5))))
+        def check(case):
+            name, elements = case
+            metric = metrics[name]
+            X = np.array([x for x, _ in elements]).reshape(-1, metric.dimension)
+            Y = np.array([y for _, y in elements]).reshape(X.shape)
+            rows = [outcome(lambda: metric.check_line_element(x, y) and None)
+                    for x, y in elements]
+            assert metric.valid_line_elements(X, Y).tolist() == [r is None for r in rows]
+            batch = outcome(lambda: [v.hex() for v in metric.norm_batch(X, Y).tolist()])
+            first = next((r for r in rows if r is not None), None)
+            if first is None:  # every row valid: the values, or the first row's F error
+                first = outcome(lambda: [metric.norm(x, y).hex() for x, y in elements])
+            assert batch == first
+
+        check()
+
     @pytest.mark.parametrize("X, Y", [
         (np.zeros((2, 2)), np.ones((3, 2))),
         (np.zeros(2), np.ones(2)),
@@ -334,9 +392,120 @@ def closed_form_metrics():
     }
 
 
+def anisotropic_ellipsoid():
+    """Funk metric of a rotated ellipsoid with semi-axes 0.5, 1 and 1.7 centred
+    at (0.1, -0.2, 0.05), with k = 1.3."""
+    R = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))[0]
+    D = R @ np.diag([4.0, 1.0, 1.0 / 2.89]) @ R.T
+    D = 0.5 * (D + D.T)
+    c = np.array([0.1, -0.2, 0.05])
+    return funk_from_quadratic(QuadraticDomainSpec(alpha=-D, beta=D @ c,
+                                                   gamma=1.0 - float(c @ D @ c), k=1.3))
+
+
+def _dot(u, v):
+    acc = u[0] * v[0]
+    for i in range(1, len(u)):
+        acc = acc + u[i] * v[i]
+    return acc
+
+
+def dot_formula_theta(alpha, beta, gamma, x, y):
+    """_funk_theta written with separate left-to-right sums: alpha x and alpha y
+    row by row, then each scalar product on its own."""
+    ax = [_dot(row, x) for row in alpha]
+    p = _dot(x, ax) + 2.0 * _dot(beta, x) + gamma
+    wy = _dot([wi + bi for wi, bi in zip(ax, beta)], y)
+    ayy = _dot(y, [_dot(row, y) for row in alpha])
+    root = smooth_sqrt(wy * wy - ayy * p)
+    if isinstance(jet_value(wy), np.ndarray):
+        return jet_where(jet_value(wy) >= 0.0, -ayy / (root + wy), (root - wy) / p)
+    return -ayy / (root + wy) if jet_value(wy) >= 0.0 else (root - wy) / p
+
+
+def dot_formula_klein_spray(x, y):
+    phi = 1.0 - _dot(x, x)
+    if isinstance(phi, float) and phi <= 0.0:
+        return [math.nan] * len(y)
+    p = 2.0 * _dot(x, y) / phi
+    return [p * yi for yi in y]
+
+
+def argument_forms(metric, count, seed):
+    """Seeded line elements in every form a closed form takes: each as Python
+    floats, all as (N,) columns, and as Dual2 variables (y first, then x, as
+    the curvature jets order them) over the first element's floats and over
+    the columns."""
+    elements = metric.random_line_elements(count, np.random.default_rng(seed))
+    X = np.array([x for x, _ in elements])
+    Y = np.array([y for _, y in elements])
+    n = metric.dimension
+    forms = [(x.tolist(), y.tolist()) for x, y in elements] + [(list(X.T), list(Y.T))]
+    for values in (Y[0].tolist() + X[0].tolist(), list(Y.T) + list(X.T)):
+        z = Dual2.variables(values, n)
+        forms.append((z[n:], z[:n]))
+    return forms
+
+
+def bits(v):
+    """The hex of every float in v: a number, an array, a list, or a Dual2's
+    value, gradient and Hessian rows."""
+    if isinstance(v, list):
+        return [bits(u) for u in v]
+    if isinstance(v, Dual2):
+        return [bits(v.val), bits(v.grad), bits(v.hess)]
+    return [float(u).hex() for u in np.ravel(v)]
+
+
+def boundary_point(metric, u):
+    """The rounded boundary point along u from the domain's centre, or None
+    where the domain is all of R^n."""
+    n = len(u)
+    if isinstance(metric, QuadraticFunkMetric):
+        alpha, c = metric.spec.alpha, metric.spec.center()
+        phi_c = metric.spec.phi(c)
+    elif isinstance(metric, KleinMetric):
+        alpha, c, phi_c = -np.eye(n), np.zeros(n), 1.0
+    else:
+        return None
+    return c + math.sqrt(-phi_c / float(u @ alpha @ u)) * u
+
+
 class TestFloatClosedForms:
     """The shipped closed forms run on Python floats; their values must be
     those of the same arithmetic on numpy arrays, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["funk-ball2", "funk-ball3", "funk-ellipse",
+                                      "funk-anisotropic3"])
+    def test_fused_funk_theta_keeps_the_separate_sums_bits(self, name):
+        metric = {**closed_form_metrics(), "funk-anisotropic3": anisotropic_ellipsoid()}[name]
+        args = metric._alpha, metric._beta, metric.spec.gamma
+        for x, y in argument_forms(metric, 60, 33):
+            assert bits(_funk_theta(*args, x, y)) == bits(dot_formula_theta(*args, x, y))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_fused_klein_spray_keeps_the_separate_sums_bits(self, n):
+        metric = klein_metric(n)
+        on_sphere = ([1.0] + [0.0] * (n - 1), [0.5] * n)
+        for x, y in argument_forms(metric, 60, 34) + [on_sphere]:
+            assert bits(metric._spray_impl(x, y)) == bits(dot_formula_klein_spray(x, y))
+
+    @pytest.mark.parametrize("name", ["klein2", "klein3", "klein5", "funk-ball3", "funk-ellipse",
+                                      "funk-anisotropic3"])
+    def test_stacked_domain_value_keeps_each_rows_bits(self, name):
+        metric = {**closed_form_metrics(), "klein5": klein_metric(5),
+                  "funk-anisotropic3": anisotropic_ellipsoid()}[name]
+        rng = np.random.default_rng(35)
+        n = metric.dimension
+        inside = [metric.random_interior_point(rng) for _ in range(100)]
+        edge = [boundary_point(metric, rng.normal(size=n)) for _ in range(100)]
+        # each coordinate moved by up to three ulps, so both signs of phi show
+        edge = [x + rng.integers(-3, 4, size=n) * np.spacing(x) for x in edge]
+        X = np.array(inside + edge)
+        stacked = metric.domain_value(X)
+        assert [v.hex() for v in stacked.tolist()] == [metric.domain_value(x).hex() for x in X]
+        assert (stacked[100:] > 0.0).any() and (stacked[100:] <= 0.0).any()
+        assert metric.domain_value(X[:0]).shape == (0,)
 
     @pytest.mark.parametrize("name", sorted(closed_form_metrics()))
     def test_norm_equals_the_array_route(self, name):
